@@ -41,6 +41,18 @@ Result<std::optional<CheckReport>> PumpPush(AuditLogger& logger, services::GitBa
   return logger.OnPair(conn, req.Serialize(), rsp.Serialize(), force);
 }
 
+// Spins until `n` forced demands have attached to the pending round. A pair
+// counts as logged before its demand reaches the engine, so releasing a
+// paused round once pairs_logged() is reached can start it before the last
+// demand attaches.
+void WaitForAttachedDemands(uint64_t n) {
+  const obs::Counter& attached =
+      obs::Registry::Global().GetCounter("logger_forced_coalesced_total");
+  while (attached.Value() < n) {
+    std::this_thread::yield();
+  }
+}
+
 TEST(Checker, ForcedCheckRendezvousReportContents) {
   auto logger = MakeLogger({.check_interval = 0});
   services::GitBackend backend;
@@ -88,10 +100,8 @@ TEST(Checker, ConcurrentForcedChecksCoalesceIntoOneRound) {
     });
   }
   // All pairs must drain (the sequencer never blocks on the paused round)
-  // before we let the round run.
-  while (logger->pairs_logged() < kThreads) {
-    std::this_thread::yield();
-  }
+  // and join the round before we let it run.
+  WaitForAttachedDemands(kThreads - 1);
   engine->PauseForTesting(false);
   for (auto& th : threads) th.join();
 
@@ -108,6 +118,7 @@ TEST(Checker, ConcurrentForcedChecksCoalesceIntoOneRound) {
 }
 
 TEST(Checker, CoalescedForcedChecksChargeTheBudgetOnce) {
+  obs::Registry::Global().Reset();
   auto logger = MakeLogger({.check_interval = 0, .forced_check_min_gap = 100});
   CheckerEngine* engine = logger->checker();
   engine->PauseForTesting(true);
@@ -124,9 +135,7 @@ TEST(Checker, CoalescedForcedChecksChargeTheBudgetOnce) {
       }
     });
   }
-  while (logger->pairs_logged() < kThreads) {
-    std::this_thread::yield();
-  }
+  WaitForAttachedDemands(kThreads - 1);
   engine->PauseForTesting(false);
   for (auto& th : threads) th.join();
 

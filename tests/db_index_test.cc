@@ -51,6 +51,20 @@ std::string Fingerprint(const QueryResult& r) {
   return s;
 }
 
+// Executes `sql` on `db` with the index/hash-join optimisations on and off;
+// the results must be byte-identical.
+void ExpectTuningsAgree(Database& db, const std::string& sql) {
+  const db::Tuning saved = db.tuning();
+  db.set_tuning({.use_time_index = true, .use_hash_join = true});
+  auto fast = db.Execute(sql);
+  db.set_tuning({.use_time_index = false, .use_hash_join = false});
+  auto slow = db.Execute(sql);
+  db.set_tuning(saved);
+  ASSERT_TRUE(fast.ok()) << sql << ": " << fast.status().ToString();
+  ASSERT_TRUE(slow.ok()) << sql << ": " << slow.status().ToString();
+  EXPECT_EQ(Fingerprint(*fast), Fingerprint(*slow)) << sql;
+}
+
 // --- Index maintenance -----------------------------------------------------
 
 TEST(TimeIndex, MaintainedAcrossInsertDeleteUpdate) {
@@ -128,6 +142,56 @@ TEST(TimeIndex, SurvivesSerialisationRoundTrip) {
   ASSERT_EQ(index->size(), 2u);
   EXPECT_EQ((*index)[0].first, 2);
   EXPECT_EQ((*index)[1].first, 4);
+}
+
+// The index after a DELETE-with-WHERE must equal the index of a database
+// built from scratch with only the surviving rows.
+TEST(TimeIndexAfterTrim, RemappedIndexEqualsRebuiltIndex) {
+  Database db;
+  Exec(db, "CREATE TABLE updates(time, repo)");
+  for (int i = 1; i <= 30; ++i) {
+    Exec(db, "INSERT INTO updates VALUES (" + std::to_string(i) + ", 'r" +
+                 std::to_string(i % 3) + "')");
+  }
+  // Trim a non-prefix subset (WHERE on a non-time column) so surviving
+  // rows compact to new positions.
+  Exec(db, "DELETE FROM updates WHERE repo = 'r1'");
+
+  Database fresh;
+  Exec(fresh, "CREATE TABLE updates(time, repo)");
+  for (int i = 1; i <= 30; ++i) {
+    if (i % 3 == 1) {
+      continue;
+    }
+    Exec(fresh, "INSERT INTO updates VALUES (" + std::to_string(i) + ", 'r" +
+                    std::to_string(i % 3) + "')");
+  }
+  const auto* remapped = db.TimeIndexForTesting("updates");
+  const auto* rebuilt = fresh.TimeIndexForTesting("updates");
+  ASSERT_NE(remapped, nullptr);
+  ASSERT_NE(rebuilt, nullptr);
+  EXPECT_EQ(*remapped, *rebuilt);
+
+  // Index-narrowed queries agree with full scans post-trim.
+  ExpectTuningsAgree(db, "SELECT time, repo FROM updates WHERE time > 10");
+  ExpectTuningsAgree(db, "SELECT COUNT(*) FROM updates WHERE time > 10 AND time <= 25");
+}
+
+TEST(TimeIndexAfterTrim, PrefixTrimKeepsIndexValid) {
+  Database db;
+  Exec(db, "CREATE TABLE updates(time, v)");
+  for (int i = 1; i <= 20; ++i) {
+    Exec(db, "INSERT INTO updates VALUES (" + std::to_string(i) + ", " + std::to_string(i) + ")");
+  }
+  Exec(db, "DELETE FROM updates WHERE time <= 12");
+  const auto* index = db.TimeIndexForTesting("updates");
+  ASSERT_NE(index, nullptr);
+  ASSERT_EQ(index->size(), 8u);
+  for (size_t i = 0; i < index->size(); ++i) {
+    EXPECT_EQ((*index)[i].first, static_cast<int64_t>(13 + i));
+    EXPECT_EQ((*index)[i].second, i);
+  }
+  ExpectTuningsAgree(db, "SELECT v FROM updates WHERE time > 15 ORDER BY time");
 }
 
 // --- Indexed scans and fast paths vs the unindexed engine ------------------
