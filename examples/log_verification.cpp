@@ -40,6 +40,9 @@ void ShowVerdict(const char* scenario, const Result<size_t>& verdict) {
 int main() {
   std::printf("== Audit-log verification & dispute resolution ==\n\n");
   const std::string path = "/tmp/libseal_example_audit.log";
+  // Two entries fit in the log's first segment; the signed head lives in
+  // `<path>.sig`.
+  const std::string segment = core::SegmentFilePath(path, 0);
 
   // The enclave's log key. In deployment its public half is published via
   // remote attestation; here we just hold both sides.
@@ -66,26 +69,31 @@ int main() {
                                                            log.counter()));
 
   // Keep a (validly signed) snapshot for the rollback scenario.
-  CopyFile(path, path + ".old");
+  CopyFile(segment, path + ".old");
   CopyFile(path + ".sig", path + ".old.sig");
 
   append(3, "commit-3");
 
-  // Scenario 2: the provider edits an entry in place.
-  CopyFile(path, path + ".bak");
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  std::fseek(f, 60, SEEK_SET);
+  // Scenario 2: the provider edits an entry in place (a byte of the first
+  // record, past the segment header).
+  CopyFile(segment, path + ".bak");
+  std::FILE* f = std::fopen(segment.c_str(), "rb+");
+  if (f == nullptr) {
+    std::printf("cannot open %s\n", segment.c_str());
+    return 1;
+  }
+  std::fseek(f, core::kSegmentHeaderSize + 60, SEEK_SET);
   int c = std::fgetc(f);
-  std::fseek(f, 60, SEEK_SET);
+  std::fseek(f, core::kSegmentHeaderSize + 60, SEEK_SET);
   std::fputc(c ^ 0x01, f);
   std::fclose(f);
   ShowVerdict("provider-edited log:",
               core::AuditLog::VerifyLogFile(path, enclave_key.public_key(), log.counter()));
-  CopyFile(path + ".bak", path);  // restore
+  CopyFile(path + ".bak", segment);  // restore
 
   // Scenario 3: the provider swaps in the OLD log + OLD signature. Every
   // byte of it is authentic -- but the distributed counter has moved on.
-  CopyFile(path + ".old", path);
+  CopyFile(path + ".old", segment);
   CopyFile(path + ".old.sig", path + ".sig");
   ShowVerdict("rolled-back (but validly signed) log:",
               core::AuditLog::VerifyLogFile(path, enclave_key.public_key(), log.counter()));

@@ -45,134 +45,165 @@ std::string RowIdentity(const db::Row& row) {
   return key;
 }
 
-// Full verification scan shared by VerifyLogFile and ReadVerifiedEntries:
-// walks either the legacy single file or the segment files (checking header
-// chaining), decrypts and strictly parses every record, and recomputes the
-// hash chain over the raw record bytes.
-struct WholeScan {
-  std::vector<LogEntry> entries;
-  Bytes chain;
-  size_t count = 0;
+// What a torn write at the physical end of the last segment file means.
+enum class TornTail {
+  kReject,  // verification: every byte of the log must parse
+  kRepair,  // recovery: a crashed write, reported for truncation
 };
 
-Result<WholeScan> ScanWholeLog(const std::string& path, const crypto::Aes128Gcm* cipher) {
-  WholeScan out;
-  out.chain.assign(crypto::kSha256DigestSize, 0);
-  auto scan = [&](BytesView data, size_t off) -> Status {
-    while (off < data.size()) {
-      if (data.size() - off < 4) {
-        return DataLoss("truncated record frame");
-      }
-      const uint32_t len = LoadBe32(data.data() + off);
-      off += 4;
-      if (len > data.size() - off) {
-        return DataLoss("truncated record body");
-      }
-      auto plain = MaybeDecrypt(cipher, data.subspan(off, len));
-      if (!plain.ok()) {
-        return plain.status();
-      }
-      off += len;
-      size_t entry_off = 0;
-      auto entry = LogEntry::Deserialize(*plain, entry_off);
-      if (!entry.ok()) {
-        return entry.status();
-      }
-      if (entry_off != plain->size()) {
-        return DataLoss("trailing bytes in log record");
-      }
-      crypto::Sha256 h;
-      h.Update(out.chain);
-      h.Update(*plain);
-      crypto::Sha256Digest d = h.Finish();
-      out.chain.assign(d.begin(), d.end());
-      out.entries.push_back(std::move(*entry));
-      ++out.count;
-    }
-    return Status::Ok();
-  };
+// What WalkSegments read.
+struct SegmentWalk {
+  std::vector<LogEntry> entries;            // records past the start point
+  std::vector<crypto::Sha256Digest> heads;  // chain head after each of them
+  Bytes chain;                              // chain head after the last record
+  uint64_t record_bytes = 0;                // frame bytes read
+  uint64_t rewrite_epoch = 0;
+  uint32_t segments = 0;  // segment files on disk
+  // The last segment file: its header (nullopt when the header itself is
+  // torn), its length up to the end of its last whole record, and whether
+  // a torn frame follows.
+  std::optional<SegmentHeader> last_header;
+  uint64_t last_bytes = 0;
+  bool torn = false;
+};
 
-  const std::vector<uint32_t> segments = ListSegmentFiles(path);
-  if (segments.empty()) {
-    auto data = ReadFileBytes(path);
-    if (!data.ok()) {
-      if (FileExists(HeadFilePath(path))) {
-        // A segmented log that committed a head before flushing any record
-        // has no data files yet; verify the (empty) chain against the head.
-        return out;
-      }
-      return data.status();
-    }
-    SEAL_RETURN_IF_ERROR(scan(*data, 0));
-    return out;
+// Decrypts and strictly parses one record, extending the walk's chain over
+// its plaintext.
+Status ReadRecord(const crypto::Aes128Gcm* cipher, BytesView wire, SegmentWalk& walk) {
+  auto plain = MaybeDecrypt(cipher, wire);
+  if (!plain.ok()) {
+    return plain.status();
   }
+  size_t entry_off = 0;
+  auto entry = LogEntry::Deserialize(*plain, entry_off);
+  if (!entry.ok()) {
+    return entry.status();
+  }
+  if (entry_off != plain->size()) {
+    return DataLoss("trailing bytes in log record");
+  }
+  crypto::Sha256 h;
+  h.Update(walk.chain);
+  h.Update(*plain);
+  const crypto::Sha256Digest d = h.Finish();
+  walk.chain.assign(d.begin(), d.end());
+  walk.heads.push_back(d);
+  walk.entries.push_back(std::move(*entry));
+  return Status::Ok();
+}
 
+// The one reader of the persisted log, behind VerifyLogFile,
+// ReadVerifiedEntries and Recover. Walks the segment files from segment 0,
+// or from a snapshot's resume point, and checks that their indices are
+// contiguous, every header decodes, rewrite epochs agree, each prev-head
+// continues the chain, non-final segments are closed and a closed segment's
+// ticket range matches its records. Every record is decrypted and strictly
+// parsed, and the hash chain is recomputed over the record bytes. Whether
+// the committed head lands on the chain is the caller's check.
+Result<SegmentWalk> WalkSegments(const std::string& path, const crypto::Aes128Gcm* cipher,
+                                 const SnapshotState* start, TornTail torn_tail) {
+  SegmentWalk walk;
+  walk.chain.assign(crypto::kSha256DigestSize, 0);
+  uint32_t first = 0;
+  uint64_t resume_offset = 0;
   bool epoch_set = false;
-  uint64_t epoch = 0;
+  if (start != nullptr) {
+    walk.chain = start->chain_head;
+    walk.rewrite_epoch = start->rewrite_epoch;
+    epoch_set = true;
+    first = start->resume_segment;
+    resume_offset = start->resume_offset;
+  }
+  const std::vector<uint32_t> segments = ListSegmentFiles(path);
   for (size_t i = 0; i < segments.size(); ++i) {
     if (segments[i] != i) {
       return DataLoss("missing log segment " + std::to_string(i));
     }
-    const std::string seg_path = SegmentFilePath(path, static_cast<uint32_t>(i));
+  }
+  if (segments.empty() && torn_tail == TornTail::kReject && !FileExists(HeadFilePath(path))) {
+    // A log that committed a head before flushing any record has no
+    // segment yet; with no head either, there is no log.
+    return NotFound("no audit log at " + path);
+  }
+  walk.segments = static_cast<uint32_t>(segments.size());
+  // A walk always reads the last segment, so the caller can resume it.
+  if ((first > 0 || resume_offset > 0) && first >= walk.segments) {
+    return DataLoss("snapshot resumes past the last segment");
+  }
+  for (uint32_t seg = first; seg < walk.segments; ++seg) {
+    const std::string seg_path = SegmentFilePath(path, seg);
+    const bool repair = seg + 1 == walk.segments && torn_tail == TornTail::kRepair;
     auto data = ReadFileBytes(seg_path);
     if (!data.ok()) {
       return data.status();
+    }
+    const bool resumed = seg == first && resume_offset > kSegmentHeaderSize;
+    if (resumed && resume_offset > data->size()) {
+      return DataLoss("snapshot resume offset beyond segment " + seg_path);
+    }
+    if (repair && data->size() < kSegmentHeaderSize) {
+      // Crash between creating the file and syncing its header: the
+      // segment holds no durable records.
+      walk.last_header.reset();
+      walk.last_bytes = 0;
+      walk.torn = true;
+      return walk;
     }
     auto header = SegmentHeader::Decode(*data);
     if (!header.ok()) {
       return header.status();
     }
-    if (header->index != i) {
+    if (header->index != seg) {
       return DataLoss("segment index mismatch in " + seg_path);
     }
     if (!epoch_set) {
-      epoch = header->rewrite_epoch;
+      walk.rewrite_epoch = header->rewrite_epoch;
       epoch_set = true;
-    } else if (header->rewrite_epoch != epoch) {
+    } else if (header->rewrite_epoch != walk.rewrite_epoch) {
       return DataLoss("segment rewrite epoch mismatch in " + seg_path);
     }
-    if (i + 1 < segments.size() && header->closed == 0) {
+    if (seg + 1 < walk.segments && header->closed == 0) {
       return PermissionDenied("non-final log segment not closed: " + seg_path);
     }
-    if (!ConstantTimeEqual(header->prev_head, out.chain)) {
+    // Records before a snapshot's resume point are not read, so that
+    // segment's prev-head and ticket range go unchecked here; the
+    // committed-head check still covers them.
+    size_t off = resumed ? static_cast<size_t>(resume_offset) : kSegmentHeaderSize;
+    if (!resumed && !ConstantTimeEqual(header->prev_head, walk.chain)) {
       return PermissionDenied("segment chain discontinuity at " + seg_path);
     }
-    const size_t before = out.count;
-    SEAL_RETURN_IF_ERROR(scan(*data, kSegmentHeaderSize));
-    if (header->closed != 0 && out.count > before) {
-      if (out.entries[before].time != header->first_ticket ||
-          out.entries.back().time != header->last_ticket) {
-        return PermissionDenied("segment ticket range mismatch in " + seg_path);
+    const size_t before = walk.entries.size();
+    while (off < data->size()) {
+      const size_t left = data->size() - off;
+      const uint32_t len = left < 4 ? 0 : LoadBe32(data->data() + off);
+      Status bad = left < 4         ? DataLoss("truncated record frame in " + seg_path)
+                   : len > left - 4 ? DataLoss("truncated record body in " + seg_path)
+                                    : ReadRecord(cipher, BytesView(*data).subspan(off + 4, len),
+                                                 walk);
+      if (!bad.ok()) {
+        // Only a frame running to the physical end of the last file can be
+        // a torn write; anywhere else bad bytes are corruption.
+        if (repair && (left < 4 || len >= left - 4)) {
+          walk.torn = true;
+          break;
+        }
+        return bad;
       }
+      off += 4 + len;
+      walk.record_bytes += 4 + len;
     }
+    if (header->closed != 0 && !resumed && walk.entries.size() > before &&
+        (walk.entries[before].time != header->first_ticket ||
+         walk.entries.back().time != header->last_ticket)) {
+      return PermissionDenied("segment ticket range mismatch in " + seg_path);
+    }
+    walk.last_header = *header;
+    walk.last_bytes = off;
   }
-  return out;
+  return walk;
 }
 
 }  // namespace
-
-// Staging scan result: everything Recover() needs, computed without
-// touching member state so a failed snapshot plan can fall back cleanly.
-struct AuditLog::ReplayResult {
-  std::vector<LogEntry> entries;  // snapshot entries + replayed tail
-  size_t snapshot_entries = 0;
-  Bytes chain;                    // head after all entries
-  std::vector<Bytes> tail_heads;  // head after each replayed (post-snapshot) entry
-  uint64_t tail_bytes = 0;        // frame bytes replayed from disk
-  // Torn-tail repair: truncate (or, below the header size, remove)
-  // `truncate_path` to `truncate_to` bytes.
-  bool truncate_pending = false;
-  std::string truncate_path;
-  uint64_t truncate_to = 0;
-  size_t torn_records = 0;
-  // Active-segment state to resume appending.
-  bool any_segment = false;
-  uint32_t last_segment = 0;
-  uint64_t last_segment_bytes = 0;  // after torn-tail truncation
-  bool last_header_valid = false;
-  SegmentHeader last_header;
-  uint64_t rewrite_epoch = 0;
-};
 
 AuditLog::AuditLog(AuditLogOptions options, crypto::EcdsaPrivateKey signing_key)
     : options_(std::move(options)),
@@ -189,9 +220,6 @@ AuditLog::AuditLog(AuditLogOptions options, crypto::EcdsaPrivateKey signing_key)
     // Not recovering: any lifecycle files at this path are stale state from
     // a previous run.
     RemoveLogFiles(options_.path);
-    if (options_.segment_bytes == 0) {
-      (void)DurableWriteFile(options_.path, {}, /*append=*/false, /*sync=*/false);
-    }
   }
 }
 
@@ -232,7 +260,7 @@ Status AuditLog::Append(const std::string& table, db::Row values, int64_t wall_n
   ++entries_logged_;
   max_ticket_ = std::max(max_ticket_, entry.time);
   if (options_.mode == PersistenceMode::kDisk) {
-    SEAL_RETURN_IF_ERROR(PersistEntry(entry));
+    StageEntry(entry);
   }
   entries_.push_back(std::move(entry));
   return Status::Ok();
@@ -249,27 +277,17 @@ Bytes AuditLog::EncodeRecord(BytesView plain) {
   return out;
 }
 
-void AuditLog::AppendFramedRecord(Bytes& out, const LogEntry& entry) {
-  Bytes record = EncodeRecord(entry.Serialize());
-  AppendBe32(out, static_cast<uint32_t>(record.size()));
-  seal::Append(out, record);
-}
-
 void AuditLog::StageEntry(const LogEntry& entry) {
-  const size_t before = pending_persist_.size();
-  AppendFramedRecord(pending_persist_, entry);
-  // Append() extends chain_head_ before staging, so it is the head after
-  // this entry — the value the segment roller records per frame.
-  pending_frames_.push_back({entry.time, pending_persist_.size() - before, chain_head_});
-}
-
-Status AuditLog::PersistEntry(const LogEntry& entry) {
   // Stage only: the write (one syscall for a whole batch) happens at
   // FlushPersisted/CommitHead, so a burst of appends costs one flush.
-  const size_t before = pending_persist_.size();
-  StageEntry(entry);
-  persisted_bytes_ += pending_persist_.size() - before;
-  return Status::Ok();
+  const Bytes record = EncodeRecord(entry.Serialize());
+  AppendBe32(pending_persist_, static_cast<uint32_t>(record.size()));
+  seal::Append(pending_persist_, record);
+  const size_t frame_size = 4 + record.size();
+  persisted_bytes_ += frame_size;
+  // Callers extend chain_head_ before staging, so it is the head after
+  // this entry — the value the segment roller records per frame.
+  pending_frames_.push_back({entry.time, frame_size, chain_head_});
 }
 
 SealContext AuditLog::MakeSealContext() const {
@@ -315,7 +333,15 @@ Status AuditLog::CloseActiveSegment() {
   return Status::Ok();
 }
 
-Status AuditLog::FlushSegmented(BytesView batch, const std::vector<StagedFrame>& frames) {
+Status AuditLog::FlushPersisted() {
+  if (options_.mode != PersistenceMode::kDisk || pending_persist_.empty()) {
+    return Status::Ok();
+  }
+  const Bytes batch = std::move(pending_persist_);
+  pending_persist_.clear();
+  const std::vector<StagedFrame> frames = std::move(pending_frames_);
+  pending_frames_.clear();
+  bytes_since_snapshot_ += batch.size();
   // Frames are written in contiguous runs: one file append per segment
   // touched, rolling to a new segment when the active one would exceed the
   // byte budget (a segment always takes at least one record, so an
@@ -327,7 +353,7 @@ Status AuditLog::FlushSegmented(BytesView batch, const std::vector<StagedFrame>&
       return Status::Ok();
     }
     SEAL_RETURN_IF_ERROR(DurableWriteFile(SegmentFilePath(options_.path, active_segment_),
-                                          batch.subspan(run_start, end - run_start),
+                                          BytesView(batch).subspan(run_start, end - run_start),
                                           /*append=*/true, options_.fsync));
     active_segment_file_bytes_ += end - run_start;
     run_start = end;
@@ -350,25 +376,6 @@ Status AuditLog::FlushSegmented(BytesView batch, const std::vector<StagedFrame>&
     last_flushed_head_ = frame.head_after;
   }
   return write_run(off);
-}
-
-Status AuditLog::FlushPersisted() {
-  if (options_.mode != PersistenceMode::kDisk || pending_persist_.empty()) {
-    return Status::Ok();
-  }
-  Bytes batch = std::move(pending_persist_);
-  pending_persist_.clear();
-  std::vector<StagedFrame> frames = std::move(pending_frames_);
-  pending_frames_.clear();
-  bytes_since_snapshot_ += batch.size();
-  if (options_.segment_bytes > 0) {
-    return FlushSegmented(batch, frames);
-  }
-  SEAL_RETURN_IF_ERROR(DurableWriteFile(options_.path, batch, /*append=*/true, options_.fsync));
-  if (!frames.empty()) {
-    last_flushed_head_ = frames.back().head_after;
-  }
-  return Status::Ok();
 }
 
 Status AuditLog::CommitHead() {
@@ -413,15 +420,10 @@ Status AuditLog::WriteSnapshot() {
   snapshot.rewrite_epoch = rewrite_epoch_;
   snapshot.chain_head = chain_head_;
   snapshot.persisted_bytes = persisted_bytes_;
-  if (options_.segment_bytes > 0) {
-    snapshot.resume_segment = active_segment_;
-    // Offset 0 = the segment does not exist yet; replay starts at its
-    // header if it appears.
-    snapshot.resume_offset = active_segment_open_ ? active_segment_file_bytes_ : 0;
-  } else {
-    auto size = FileSizeBytes(options_.path);
-    snapshot.resume_offset = size.ok() ? *size : 0;
-  }
+  snapshot.resume_segment = active_segment_;
+  // Offset 0 = the segment does not exist yet; replay starts at its header
+  // if it appears.
+  snapshot.resume_offset = active_segment_open_ ? active_segment_file_bytes_ : 0;
   snapshot.counter_value = last_counter_value_;
   snapshot.max_ticket = max_ticket_;
   snapshot.entries = entries_;
@@ -435,10 +437,6 @@ Status AuditLog::WriteSnapshot() {
 }
 
 Result<db::QueryResult> AuditLog::Query(const std::string& sql) { return db_.Execute(sql); }
-
-Result<db::QueryResult> AuditLog::QueryWithTimeFloor(const std::string& sql, int64_t floor) {
-  return db_.ExecuteWithTimeFloor(sql, floor);
-}
 
 Status AuditLog::Trim(const std::vector<std::string>& trimming_queries,
                       size_t* deleted_out, size_t* archived_out) {
@@ -533,14 +531,21 @@ Status AuditLog::Trim(const std::vector<std::string>& trimming_queries,
   for (Survivor& s : survivors) {
     entries_.push_back(std::move(s.entry));
   }
+  const bool disk = options_.mode == PersistenceMode::kDisk;
+  if (disk) {
+    DiscardSegments();
+  }
+  // One pass rebuilds the chain and stages the rewrite; each staged frame
+  // carries the head just computed for it.
   chain_head_.assign(crypto::kSha256DigestSize, 0);
   for (const LogEntry& entry : entries_) {
     chain_head_ = ExtendChain(chain_head_, entry);
+    if (disk) {
+      StageEntry(entry);
+    }
   }
   entries_logged_ = entries_.size();
-  if (options_.mode == PersistenceMode::kDisk) {
-    ++rewrite_epoch_;
-    SEAL_RETURN_IF_ERROR(RewritePersistedLog());
+  if (disk) {
     SEAL_RETURN_IF_ERROR(CommitHead());
     if (options_.snapshot_interval_bytes > 0 && bytes_since_snapshot_ > 0) {
       // Fresh snapshot so no resume pointer into the pre-trim segments
@@ -551,222 +556,23 @@ Status AuditLog::Trim(const std::vector<std::string>& trimming_queries,
   return Status::Ok();
 }
 
-Status AuditLog::RewritePersistedLog() {
-  // The rewrite replaces the whole persisted log, so anything staged but
-  // unflushed is superseded.
+void AuditLog::DiscardSegments() {
+  // The trim rewrite replaces the whole persisted log: anything staged but
+  // unflushed is superseded, and the old snapshot's resume pointers
+  // reference deleted segments.
   pending_persist_.clear();
   pending_frames_.clear();
-  if (options_.segment_bytes == 0) {
-    Bytes all;
-    for (const LogEntry& entry : entries_) {
-      AppendFramedRecord(all, entry);
-    }
-    persisted_bytes_ = all.size();
-    last_flushed_head_ = chain_head_;
-    return DurableWriteFile(options_.path, all, /*append=*/false, options_.fsync);
-  }
   for (uint32_t index : ListSegmentFiles(options_.path)) {
     RemoveFileIfExists(SegmentFilePath(options_.path, index));
   }
-  // The old snapshot's resume pointers reference deleted segments.
   RemoveFileIfExists(SnapshotFilePath(options_.path));
+  ++rewrite_epoch_;
   active_segment_ = 0;
   active_segment_open_ = false;
   active_segment_file_bytes_ = 0;
   segment_count_ = 0;
   last_flushed_head_.assign(crypto::kSha256DigestSize, 0);
-  Bytes head(crypto::kSha256DigestSize, 0);
-  for (const LogEntry& entry : entries_) {
-    const size_t before = pending_persist_.size();
-    AppendFramedRecord(pending_persist_, entry);
-    head = ExtendChain(head, entry);
-    pending_frames_.push_back({entry.time, pending_persist_.size() - before, head});
-  }
-  persisted_bytes_ = pending_persist_.size();
-  return FlushPersisted();
-}
-
-Result<AuditLog::ReplayResult> AuditLog::ScanPersisted(const SnapshotState* snapshot) const {
-  ReplayResult rr;
-  rr.chain.assign(crypto::kSha256DigestSize, 0);
-  if (snapshot != nullptr) {
-    // The snapshot's content must reproduce its claimed chain head: seals
-    // make snapshots tamper-evident, but a plaintext snapshot (sign-only
-    // log) is not, and the claimed head is what the committed-head check
-    // later trusts.
-    for (const LogEntry& entry : snapshot->entries) {
-      rr.chain = ExtendChain(rr.chain, entry);
-    }
-    if (!ConstantTimeEqual(rr.chain, snapshot->chain_head)) {
-      return DataLoss("snapshot content does not match its chain head");
-    }
-    rr.entries = snapshot->entries;
-    rr.snapshot_entries = snapshot->entries.size();
-    rr.rewrite_epoch = snapshot->rewrite_epoch;
-  }
-  const crypto::Aes128Gcm* cipher = cipher_.get();
-
-  // Scans framed records from `off`. Unparseable bytes at the physical end
-  // of the LAST file are a torn write (marked for truncation); anywhere
-  // else they are corruption.
-  auto scan_records = [&](const std::string& fpath, BytesView data, size_t off,
-                          bool last_file) -> Status {
-    while (off < data.size()) {
-      auto torn = [&]() {
-        rr.truncate_pending = true;
-        rr.truncate_path = fpath;
-        rr.truncate_to = off;
-        rr.torn_records += 1;
-      };
-      if (data.size() - off < 4) {
-        if (!last_file) {
-          return DataLoss("log truncated mid-frame: " + fpath);
-        }
-        torn();
-        return Status::Ok();
-      }
-      const uint32_t len = LoadBe32(data.data() + off);
-      if (len > data.size() - off - 4) {
-        if (!last_file) {
-          return DataLoss("log truncated mid-record: " + fpath);
-        }
-        torn();
-        return Status::Ok();
-      }
-      auto plain = MaybeDecrypt(cipher, data.subspan(off + 4, len));
-      Status bad = Status::Ok();
-      LogEntry entry;
-      if (!plain.ok()) {
-        bad = plain.status();
-      } else {
-        size_t entry_off = 0;
-        auto parsed = LogEntry::Deserialize(*plain, entry_off);
-        if (!parsed.ok()) {
-          bad = parsed.status();
-        } else if (entry_off != plain->size()) {
-          bad = DataLoss("trailing bytes in log record: " + fpath);
-        } else {
-          entry = std::move(*parsed);
-        }
-      }
-      if (!bad.ok()) {
-        if (last_file && off + 4 + len == data.size()) {
-          torn();
-          return Status::Ok();
-        }
-        return bad;
-      }
-      crypto::Sha256 h;
-      h.Update(rr.chain);
-      h.Update(*plain);
-      crypto::Sha256Digest d = h.Finish();
-      rr.chain.assign(d.begin(), d.end());
-      rr.tail_heads.push_back(rr.chain);
-      rr.entries.push_back(std::move(entry));
-      rr.tail_bytes += 4 + len;
-      off += 4 + len;
-    }
-    return Status::Ok();
-  };
-
-  if (options_.segment_bytes == 0) {
-    if (!FileExists(options_.path)) {
-      if (snapshot != nullptr && snapshot->resume_offset > 0) {
-        return DataLoss("snapshot resumes past a missing log file");
-      }
-      return rr;
-    }
-    auto data = ReadFileBytes(options_.path);
-    if (!data.ok()) {
-      return data.status();
-    }
-    const uint64_t start = snapshot != nullptr ? snapshot->resume_offset : 0;
-    if (start > data->size()) {
-      return DataLoss("snapshot resume offset beyond the log file");
-    }
-    SEAL_RETURN_IF_ERROR(
-        scan_records(options_.path, *data, static_cast<size_t>(start), /*last_file=*/true));
-    return rr;
-  }
-
-  const std::vector<uint32_t> segments = ListSegmentFiles(options_.path);
-  if (segments.empty()) {
-    if (snapshot != nullptr &&
-        (snapshot->resume_segment > 0 || snapshot->resume_offset > 0)) {
-      return DataLoss("snapshot resumes into missing segments");
-    }
-    return rr;
-  }
-  for (size_t i = 0; i < segments.size(); ++i) {
-    if (segments[i] != i) {
-      return DataLoss("missing log segment " + std::to_string(i));
-    }
-  }
-  uint32_t start_segment = 0;
-  if (snapshot != nullptr) {
-    if (snapshot->resume_segment >= segments.size()) {
-      return DataLoss("snapshot resumes past the last segment");
-    }
-    start_segment = snapshot->resume_segment;
-  }
-  bool epoch_set = snapshot != nullptr;
-  for (uint32_t seg = start_segment; seg < segments.size(); ++seg) {
-    const std::string seg_path = SegmentFilePath(options_.path, seg);
-    const bool last_file = seg + 1 == segments.size();
-    auto data = ReadFileBytes(seg_path);
-    if (!data.ok()) {
-      return data.status();
-    }
-    auto header = SegmentHeader::Decode(*data);
-    if (!header.ok()) {
-      if (!last_file) {
-        return header.status();
-      }
-      // Crash between creating the file and syncing its header: the
-      // segment holds no durable records; drop the whole file.
-      rr.truncate_pending = true;
-      rr.truncate_path = seg_path;
-      rr.truncate_to = 0;
-      rr.torn_records += 1;
-      rr.any_segment = true;
-      rr.last_segment = seg;
-      rr.last_segment_bytes = 0;
-      rr.last_header_valid = false;
-      return rr;
-    }
-    if (header->index != seg) {
-      return DataLoss("segment index mismatch in " + seg_path);
-    }
-    if (!epoch_set) {
-      rr.rewrite_epoch = header->rewrite_epoch;
-      epoch_set = true;
-    } else if (header->rewrite_epoch != rr.rewrite_epoch) {
-      return DataLoss("segment rewrite epoch mismatch in " + seg_path);
-    }
-    size_t off = kSegmentHeaderSize;
-    bool check_prev = true;
-    if (snapshot != nullptr && seg == start_segment &&
-        snapshot->resume_offset > kSegmentHeaderSize) {
-      if (snapshot->resume_offset > data->size()) {
-        return DataLoss("snapshot resume offset beyond segment " + seg_path);
-      }
-      off = static_cast<size_t>(snapshot->resume_offset);
-      // Pre-snapshot records are skipped, so the chain at this segment's
-      // start is unknown here; the committed-head check still covers it.
-      check_prev = false;
-    }
-    if (check_prev && !ConstantTimeEqual(header->prev_head, rr.chain)) {
-      return DataLoss("segment chain discontinuity at " + seg_path);
-    }
-    SEAL_RETURN_IF_ERROR(scan_records(seg_path, *data, off, last_file));
-    rr.any_segment = true;
-    rr.last_segment = seg;
-    rr.last_segment_bytes =
-        rr.truncate_pending && rr.truncate_path == seg_path ? rr.truncate_to : data->size();
-    rr.last_header = *header;
-    rr.last_header_valid = true;
-  }
-  return rr;
+  persisted_bytes_ = 0;
 }
 
 Status AuditLog::Recover(RecoveryInfo* info) {
@@ -819,106 +625,112 @@ Status AuditLog::Recover(RecoveryInfo* info) {
     }
   }
 
-  out.had_state = head_exists || snapshot.has_value() || FileExists(options_.path) ||
-                  !ListSegmentFiles(options_.path).empty();
+  out.had_state =
+      head_exists || snapshot.has_value() || !ListSegmentFiles(options_.path).empty();
 
   // 3. Replay, snapshot plan first. The committed head must appear in the
   //    recovered chain exactly at its entry count; a stale or forged
   //    snapshot fails this and triggers the full replay.
-  auto attempt = [&](const SnapshotState* snap) -> Result<ReplayResult> {
-    auto rr = ScanPersisted(snap);
-    if (!rr.ok()) {
-      return rr;
-    }
-    if (head_valid) {
-      if (stored_count < rr->snapshot_entries) {
-        return DataLoss("snapshot is newer than the committed head");
+  const Bytes empty_head(crypto::kSha256DigestSize, 0);
+  auto attempt = [&](const SnapshotState* snap) -> Result<SegmentWalk> {
+    const size_t base = snap != nullptr ? snap->entries.size() : 0;
+    if (snap != nullptr) {
+      // The snapshot's content must reproduce its claimed chain head: seals
+      // make snapshots tamper-evident, but a plaintext snapshot (sign-only
+      // log) is not, and the claimed head is what the committed-head check
+      // later trusts.
+      Bytes chain = empty_head;
+      for (const LogEntry& entry : snap->entries) {
+        chain = ExtendChain(chain, entry);
       }
-      if (stored_count > rr->entries.size()) {
-        return DataLoss("committed head covers more entries than the log holds");
-      }
-      Bytes at(crypto::kSha256DigestSize, 0);
-      if (stored_count == rr->snapshot_entries) {
-        if (snap != nullptr) {
-          at = snap->chain_head;
-        }
-      } else {
-        at = rr->tail_heads[stored_count - rr->snapshot_entries - 1];
-      }
-      if (!ConstantTimeEqual(at, stored_head)) {
-        return PermissionDenied("recovered chain does not match the committed head");
+      if (!ConstantTimeEqual(chain, snap->chain_head)) {
+        return DataLoss("snapshot content does not match its chain head");
       }
     }
-    return rr;
+    auto walk = WalkSegments(options_.path, cipher_.get(), snap, TornTail::kRepair);
+    if (!walk.ok() || !head_valid) {
+      return walk;
+    }
+    if (stored_count < base) {
+      return DataLoss("snapshot is newer than the committed head");
+    }
+    if (stored_count > base + walk->entries.size()) {
+      return DataLoss("committed head covers more entries than the log holds");
+    }
+    const BytesView at = stored_count > base ? BytesView(walk->heads[stored_count - base - 1])
+                         : snap != nullptr   ? BytesView(snap->chain_head)
+                                             : BytesView(empty_head);
+    if (!ConstantTimeEqual(at, stored_head)) {
+      return PermissionDenied("recovered chain does not match the committed head");
+    }
+    return walk;
   };
-  Result<ReplayResult> rr = attempt(snapshot ? &*snapshot : nullptr);
-  if (!rr.ok() && snapshot.has_value()) {
+  Result<SegmentWalk> walk = attempt(snapshot ? &*snapshot : nullptr);
+  if (!walk.ok() && snapshot.has_value()) {
     snapshot.reset();
-    rr = attempt(nullptr);
+    walk = attempt(nullptr);
   }
-  if (!rr.ok()) {
-    return rr.status();
-  }
-
-  // 4. Drop the torn tail from disk so the next append lands cleanly.
-  if (rr->truncate_pending) {
-    if (options_.segment_bytes > 0 && rr->truncate_to < kSegmentHeaderSize) {
-      RemoveFileIfExists(rr->truncate_path);
-    } else {
-      SEAL_RETURN_IF_ERROR(TruncateFile(rr->truncate_path, rr->truncate_to));
-    }
+  if (!walk.ok()) {
+    return walk.status();
   }
 
-  // 5. Rebuild the database and in-memory state.
-  for (const LogEntry& entry : rr->entries) {
-    SEAL_RETURN_IF_ERROR(db_.InsertRow(entry.table, entry.values));
+  // 4. Rebuild the database and in-memory state.
+  const size_t snapshot_entries = snapshot ? snapshot->entries.size() : 0;
+  if (snapshot) {
+    entries_ = std::move(snapshot->entries);
   }
-  entries_ = std::move(rr->entries);
-  entries_logged_ = entries_.size();
-  chain_head_ = rr->chain;
-  last_flushed_head_ = chain_head_;
-  persisted_bytes_ = (snapshot ? snapshot->persisted_bytes : 0) + rr->tail_bytes;
-  max_ticket_ = 0;
+  entries_.insert(entries_.end(), std::make_move_iterator(walk->entries.begin()),
+                  std::make_move_iterator(walk->entries.end()));
   for (const LogEntry& entry : entries_) {
+    SEAL_RETURN_IF_ERROR(db_.InsertRow(entry.table, entry.values));
     max_ticket_ = std::max(max_ticket_, entry.time);
   }
+  entries_logged_ = entries_.size();
+  chain_head_ = walk->chain;
+  last_flushed_head_ = chain_head_;
+  active_prev_head_ = chain_head_;
+  persisted_bytes_ = (snapshot ? snapshot->persisted_bytes : 0) + walk->record_bytes;
+  rewrite_epoch_ = walk->rewrite_epoch;
   const std::vector<uint32_t> archives = ListArchiveFiles(options_.path);
   next_archive_index_ = archives.empty() ? 0 : archives.back() + 1;
-  if (options_.segment_bytes > 0) {
-    rewrite_epoch_ = rr->rewrite_epoch;
-    active_prev_head_ = chain_head_;
-    if (rr->any_segment) {
-      if (!rr->last_header_valid) {
-        // Torn header: the file was removed; recreate the same index on
-        // the next flush.
-        active_segment_ = rr->last_segment;
-        segment_count_ = rr->last_segment;
-        active_segment_open_ = false;
-      } else if (rr->last_header.closed != 0) {
-        // Crash after a roll closed this segment but before the next one
-        // was opened.
-        active_segment_ = rr->last_segment + 1;
-        segment_count_ = rr->last_segment + 1;
-        active_segment_open_ = false;
-      } else {
-        active_segment_ = rr->last_segment;
-        segment_count_ = rr->last_segment + 1;
-        active_segment_open_ = true;
-        active_segment_file_bytes_ = rr->last_segment_bytes;
-        active_prev_head_ = rr->last_header.prev_head;
-        active_first_ticket_ = rr->last_header.first_ticket;
-        active_last_ticket_ =
-            entries_.empty() ? rr->last_header.first_ticket : entries_.back().time;
+
+  // 5. Resume appending where the last segment left off.
+  if (walk->segments > 0) {
+    const uint32_t last = walk->segments - 1;
+    const std::string last_path = SegmentFilePath(options_.path, last);
+    if (walk->last_header && walk->last_header->closed != 0) {
+      // Crash after a roll closed this segment but before the next one was
+      // opened.
+      active_segment_ = last + 1;
+      segment_count_ = last + 1;
+    } else if (walk->last_bytes <= kSegmentHeaderSize) {
+      // No record reached the segment: its header was torn, or the crash
+      // came before its first frame. Drop it; the next flush recreates the
+      // same index and stamps the first ticket it really holds.
+      RemoveFileIfExists(last_path);
+      active_segment_ = last;
+      segment_count_ = last;
+    } else {
+      if (walk->torn) {
+        SEAL_RETURN_IF_ERROR(TruncateFile(last_path, walk->last_bytes));
       }
+      active_segment_ = last;
+      segment_count_ = last + 1;
+      active_segment_open_ = true;
+      active_segment_file_bytes_ = walk->last_bytes;
+      active_prev_head_ = walk->last_header->prev_head;
+      active_first_ticket_ = walk->last_header->first_ticket;
+      active_last_ticket_ =
+          entries_.empty() ? walk->last_header->first_ticket : entries_.back().time;
     }
   }
   bytes_since_snapshot_ = 0;
   recovered_ = true;
 
   out.snapshot_loaded = snapshot.has_value();
-  out.snapshot_entries = rr->snapshot_entries;
-  out.replayed_entries = entries_.size() - rr->snapshot_entries;
-  out.discarded_records = rr->torn_records;
+  out.snapshot_entries = snapshot_entries;
+  out.replayed_entries = entries_.size() - snapshot_entries;
+  out.discarded_records = walk->torn ? 1 : 0;
   out.max_ticket = max_ticket_;
 
   // 6. Re-commit: the restarted ROTE cluster starts a fresh counter epoch,
@@ -941,11 +753,11 @@ Result<std::vector<LogEntry>> AuditLog::ReadVerifiedEntries(const std::string& p
   if (!encryption_key.empty()) {
     cipher.emplace(encryption_key);
   }
-  auto scan = ScanWholeLog(path, cipher ? &*cipher : nullptr);
-  if (!scan.ok()) {
-    return scan.status();
+  auto walk = WalkSegments(path, cipher ? &*cipher : nullptr, nullptr, TornTail::kReject);
+  if (!walk.ok()) {
+    return walk.status();
   }
-  return std::move(scan->entries);
+  return std::move(walk->entries);
 }
 
 Result<size_t> AuditLog::VerifyLogFile(const std::string& path,
@@ -957,9 +769,9 @@ Result<size_t> AuditLog::VerifyLogFile(const std::string& path,
   if (!encryption_key.empty()) {
     cipher.emplace(encryption_key);
   }
-  auto scan = ScanWholeLog(path, cipher ? &*cipher : nullptr);
-  if (!scan.ok()) {
-    return scan.status();
+  auto walk = WalkSegments(path, cipher ? &*cipher : nullptr, nullptr, TornTail::kReject);
+  if (!walk.ok()) {
+    return walk.status();
   }
 
   auto sig_data = ReadFileBytes(HeadFilePath(path));
@@ -982,10 +794,10 @@ Result<size_t> AuditLog::VerifyLogFile(const std::string& path,
   if (!log_public_key.Verify(signed_blob, *sig)) {
     return PermissionDenied("log head signature invalid: tampered or forged log");
   }
-  if (!ConstantTimeEqual(stored_head, scan->chain)) {
+  if (!ConstantTimeEqual(stored_head, walk->chain)) {
     return PermissionDenied("hash chain mismatch: log entries modified");
   }
-  if (stored_count != scan->count) {
+  if (stored_count != walk->entries.size()) {
     return PermissionDenied("entry count mismatch");
   }
   auto current = counter.Read();
@@ -1001,7 +813,7 @@ Result<size_t> AuditLog::VerifyLogFile(const std::string& path,
     head_out->entry_count = stored_count;
     head_out->chain_head = Bytes(stored_head.begin(), stored_head.end());
   }
-  return scan->count;
+  return walk->entries.size();
 }
 
 Result<std::vector<LogEntry>> AuditLog::ReadArchivedEntries(const std::string& path,

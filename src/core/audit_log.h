@@ -6,13 +6,13 @@
 // each flush to a fresh value of the distributed monotonic counter (ROTE).
 // Trimming re-computes the hashes of the remaining entries.
 //
-// Durable lifecycle (ROADMAP item 3): with `segment_bytes > 0` the log is
-// written as fixed-size segments with chained headers instead of one
-// ever-growing file; closed segments are fsynced and immutable. Periodic
-// sealed snapshots (`snapshot_interval_bytes`) make restart O(tail):
-// Recover() loads the newest valid snapshot and replays only the segments
-// past it. With `archive_trimmed`, Trim moves deleted rows into compressed
-// sealed archive segments so the full history stays auditable offline.
+// Durable lifecycle: the persisted log is a sequence of fixed-size segment
+// files with chained headers; closed segments are fsynced and immutable.
+// Periodic sealed snapshots (`snapshot_interval_bytes`) make restart
+// O(tail): Recover() loads the newest valid snapshot and replays only the
+// segments past it. With `archive_trimmed`, Trim moves deleted rows into
+// compressed sealed archive segments so the full history stays auditable
+// offline.
 #ifndef SRC_CORE_AUDIT_LOG_H_
 #define SRC_CORE_AUDIT_LOG_H_
 
@@ -39,16 +39,18 @@ enum class PersistenceMode {
 
 struct AuditLogOptions {
   PersistenceMode mode = PersistenceMode::kMemory;
-  std::string path;  // file path for kDisk (entries file; ".sig" appended for the head)
+  // Base path for kDisk: records go into `<path>.segNNNNNN`, the signed
+  // head into `<path>.sig`.
+  std::string path;
   // Encrypt the persisted log (log privacy, §6.3). The key is derived by
   // the caller (sealing); empty = sign-only.
   Bytes encryption_key;
   rote::RoteCounter::Options counter_options;
 
   // --- durable lifecycle ---
-  // 0 = legacy single-file layout. >0 = segmented: records go into
-  // `<path>.segNNNNNN` files rolled once a segment reaches this many bytes.
-  uint64_t segment_bytes = 0;
+  // Segment size: the active segment is closed and the next one opened
+  // before a record would take it past this many bytes.
+  uint64_t segment_bytes = 4 << 20;
   // Resume from on-disk state instead of starting fresh: the constructor
   // leaves prior files alone and Recover() (called after ExecuteSchema)
   // restores the database, chain and counters from the newest valid
@@ -107,10 +109,10 @@ class AuditLog {
   // across instances at merge time.
   Status Append(const std::string& table, db::Row values, int64_t wall_nanos = 0);
 
-  // Writes all staged entries to the log file. A no-op in kMemory mode.
-  // CommitHead flushes first, so a committed head always covers everything
-  // on disk; callers only need this directly when inspecting the file
-  // between commits.
+  // Writes all staged entries to the active segment, rolling segments as
+  // they fill. A no-op in kMemory mode. CommitHead flushes first, so a
+  // committed head always covers everything on disk; callers only need
+  // this directly when inspecting the segments between commits.
   Status FlushPersisted();
 
   // Synchronously commits the current chain head: staged-entry flush +
@@ -126,11 +128,6 @@ class AuditLog {
 
   // Runs a read-only query (invariant checking).
   Result<db::QueryResult> Query(const std::string& sql);
-
-  // Like Query, but narrows a SELECT's base-table scan to tuples with
-  // time > floor (incremental invariant checking; see
-  // db::Database::ExecuteWithTimeFloor for the exact conditions).
-  Result<db::QueryResult> QueryWithTimeFloor(const std::string& sql, int64_t floor);
 
   // Runs the trimming queries, then rebuilds the hash chain over the
   // surviving entries and rewrites the persisted log. The rebuild (and the
@@ -151,8 +148,8 @@ class AuditLog {
   };
 
   // Verifies a persisted log against tampering and rollback: recomputes
-  // the chain (across all segments, checking each segment header's
-  // continuity in the segmented layout), checks the signature with
+  // the chain across all segments (checking each segment header's
+  // continuity), checks the signature with
   // `log_public_key`, and compares the embedded counter against the ROTE
   // cluster. Returns the number of verified entries; `head_out` (optional)
   // receives what the verified head claimed.
@@ -204,28 +201,20 @@ class AuditLog {
     Bytes head_after;     // chain head after this entry
   };
 
-  Status PersistEntry(const LogEntry& entry);
-  Status RewritePersistedLog();
   Bytes ExtendChain(const Bytes& head, const LogEntry& entry) const;
   // nonce || ciphertext || tag with a key configured, the plain serialised
   // entry otherwise.
   Bytes EncodeRecord(BytesView plain);
-  void AppendFramedRecord(Bytes& out, const LogEntry& entry);
+  // Frames `entry` into pending_persist_ for the next flush; chain_head_
+  // must already be the head after it.
   void StageEntry(const LogEntry& entry);
+  // Deletes every segment and the snapshot and restarts the layout at
+  // segment 0 under a new rewrite epoch, for the trim rewrite.
+  void DiscardSegments();
   SealContext MakeSealContext() const;
-  // Segment-aware flush: opens/rolls/closes segments at record
-  // boundaries. `frames` carries the per-record tickets and chain heads
-  // matching `batch`.
-  Status FlushSegmented(BytesView batch, const std::vector<StagedFrame>& frames);
   Status OpenSegment(const Bytes& prev_head, int64_t first_ticket);
   Status CloseActiveSegment();
   Status MaybeSnapshot();
-  // Scans segments (or the legacy file) from the snapshot's resume point,
-  // decrypting and re-chaining records. Returns recovered entries without
-  // touching member state so a failed snapshot plan can fall back to a
-  // full replay.
-  struct ReplayResult;
-  Result<ReplayResult> ScanPersisted(const SnapshotState* snapshot) const;
 
   AuditLogOptions options_;
   crypto::EcdsaPrivateKey signing_key_;
@@ -248,7 +237,7 @@ class AuditLog {
   // Kept for chain recomputation on trim: the serialised entries in order.
   std::vector<LogEntry> entries_;
 
-  // --- segmented-layout state ---
+  // --- segment state ---
   uint32_t active_segment_ = 0;
   uint32_t segment_count_ = 0;           // segments existing on disk
   uint64_t active_segment_file_bytes_ = 0;  // includes the header

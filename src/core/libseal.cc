@@ -112,24 +112,6 @@ std::optional<size_t> ContentLengthFromHeaders(std::string_view headers) {
   return content_length;
 }
 
-std::optional<std::string> TryExtractHttpMessage(std::string& buffer) {
-  size_t header_end = buffer.find("\r\n\r\n");
-  if (header_end == std::string::npos) {
-    return std::nullopt;
-  }
-  auto content_length = ContentLengthFromHeaders(std::string_view(buffer).substr(0, header_end));
-  if (!content_length.has_value()) {
-    return std::nullopt;
-  }
-  size_t total = header_end + 4 + *content_length;
-  if (buffer.size() < total) {
-    return std::nullopt;
-  }
-  std::string message = buffer.substr(0, total);
-  buffer.erase(0, total);
-  return message;
-}
-
 std::optional<std::string> HttpMessageBuffer::TryExtract() {
   if (poisoned_) {
     return std::nullopt;

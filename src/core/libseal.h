@@ -236,12 +236,6 @@ class HttpMessageBuffer {
   bool poisoned_ = false;
 };
 
-// Extracts one complete HTTP message (Content-Length framing) from the
-// front of `buffer`, removing it. Returns nullopt when incomplete or when
-// the Content-Length header is invalid. Exposed for testing; the runtime
-// itself uses HttpMessageBuffer.
-std::optional<std::string> TryExtractHttpMessage(std::string& buffer);
-
 // Strict Content-Length extraction over a header block (request/status line
 // included; the last occurrence wins). Returns the length, 0 when absent,
 // or nullopt when a value is non-numeric, overflows, or exceeds

@@ -321,14 +321,6 @@ Result<Bytes> ReadFileBytes(const std::string& path) {
   return data;
 }
 
-Result<uint64_t> FileSizeBytes(const std::string& path) {
-  struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
-    return NotFound("cannot stat " + path);
-  }
-  return static_cast<uint64_t>(st.st_size);
-}
-
 bool FileExists(const std::string& path) {
   struct stat st;
   return ::stat(path.c_str(), &st) == 0;
@@ -381,7 +373,6 @@ std::vector<uint32_t> ListArchiveFiles(const std::string& base) {
 }
 
 void RemoveLogFiles(const std::string& base) {
-  RemoveFileIfExists(base);
   RemoveFileIfExists(HeadFilePath(base));
   RemoveFileIfExists(HeadFilePath(base) + ".tmp");
   RemoveFileIfExists(SnapshotFilePath(base));
@@ -430,7 +421,11 @@ Result<SegmentHeader> SegmentHeader::Decode(BytesView in) {
   header.index = LoadBe32(in.data() + off);
   off += 4;
   header.closed = LoadBe32(in.data() + off);
-  off += 8;  // closed + reserved
+  off += 4;
+  if (LoadBe32(in.data() + off) != 0) {
+    return DataLoss("non-zero reserved word in segment header");
+  }
+  off += 4;
   header.rewrite_epoch = LoadBe64(in.data() + off);
   off += 8;
   header.prev_head.assign(in.begin() + static_cast<ptrdiff_t>(off),

@@ -1,8 +1,8 @@
 // Durable on-disk lifecycle of the audit log (ROADMAP item 3): file
 // helpers that actually reach the platter (fsync on data files and their
 // directory, atomic replace-by-rename for head/snapshot files), the log
-// entry wire codec, the segmented-log layout (`<base>.segNNNNNN` files
-// with chained headers), compressed sealed trim archives
+// entry wire codec, the log's segment files (`<base>.segNNNNNN`, with
+// chained headers), compressed sealed trim archives
 // (`<base>.archNNNNNN`) and sealed seadb snapshots (`<base>.snap`).
 //
 // Snapshot and archive payloads are protected by, in order of preference:
@@ -48,7 +48,6 @@ Status DurableWriteFile(const std::string& path, BytesView data, bool append, bo
 Status AtomicWriteFile(const std::string& path, BytesView data, bool sync);
 
 Result<Bytes> ReadFileBytes(const std::string& path);
-Result<uint64_t> FileSizeBytes(const std::string& path);
 bool FileExists(const std::string& path);
 void RemoveFileIfExists(const std::string& path);
 // Truncates `path` to `size` bytes (discarding a torn tail record).
@@ -66,8 +65,8 @@ std::string HeadFilePath(const std::string& base);
 std::vector<uint32_t> ListSegmentFiles(const std::string& base);
 std::vector<uint32_t> ListArchiveFiles(const std::string& base);
 
-// Removes every lifecycle file of `base` (entries file, head, snapshot,
-// segments, archives). Used when a log is opened without recovery.
+// Removes every lifecycle file of `base` (head, snapshot, segments,
+// archives). Used when a log is opened without recovery.
 void RemoveLogFiles(const std::string& base);
 
 // --- segment header -------------------------------------------------------
@@ -78,6 +77,7 @@ struct SegmentHeader {
   uint32_t version = 1;
   uint32_t index = 0;
   uint32_t closed = 0;          // 1 once rolled; the file is then immutable
+                                // (followed by a reserved word, always 0)
   uint64_t rewrite_epoch = 0;   // bumped by every trim rewrite
   Bytes prev_head;              // chain head before this segment's first record
   int64_t first_ticket = 0;

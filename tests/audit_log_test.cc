@@ -114,12 +114,13 @@ TEST_F(AuditLogTest, TamperedEntryDetected) {
     ASSERT_TRUE(log.Append("updates", GitUpdateRow(i, "main", "c" + std::to_string(i))).ok());
   }
   ASSERT_TRUE(log.CommitHead().ok());
-  // The provider edits the stored log: flip one byte in the middle.
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  // The provider edits the stored log: flip one record byte in the middle.
+  const std::string segment = SegmentFilePath(path, 0);
+  std::FILE* f = std::fopen(segment.c_str(), "rb+");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 40, SEEK_SET);
+  std::fseek(f, kSegmentHeaderSize + 40, SEEK_SET);
   int c = std::fgetc(f);
-  std::fseek(f, 40, SEEK_SET);
+  std::fseek(f, kSegmentHeaderSize + 40, SEEK_SET);
   std::fputc(c ^ 0x01, f);
   std::fclose(f);
   EXPECT_FALSE(AuditLog::VerifyLogFile(path, key.public_key(), log.counter()).ok());
@@ -166,14 +167,15 @@ TEST_F(AuditLogTest, RollbackDetectedViaCounter) {
     std::fclose(in);
     std::fclose(out);
   };
-  copy(path, backup);
+  const std::string segment = SegmentFilePath(path, 0);
+  copy(segment, backup);
   copy(path + ".sig", backup_sig);
   // More activity advances the counter.
   ASSERT_TRUE(log.Append("updates", GitUpdateRow(2, "main", "c2")).ok());
   ASSERT_TRUE(log.CommitHead().ok());
   // The old state still verifies entry-wise... but the counter gives the
   // rollback away.
-  copy(backup, path);
+  copy(backup, segment);
   copy(backup_sig, path + ".sig");
   auto verified = AuditLog::VerifyLogFile(path, key.public_key(), log.counter());
   ASSERT_FALSE(verified.ok());
@@ -215,7 +217,7 @@ TEST_F(AuditLogTest, EncryptedLogRoundTrip) {
   ASSERT_TRUE(log.Append("updates", GitUpdateRow(1, "main", "secret-cid")).ok());
   ASSERT_TRUE(log.CommitHead().ok());
   // Ciphertext on disk: the payload must not appear in the clear.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::FILE* f = std::fopen(SegmentFilePath(path, 0).c_str(), "rb");
   ASSERT_NE(f, nullptr);
   std::string contents;
   int c;
@@ -244,7 +246,7 @@ TEST_F(AuditLogTest, EncryptedRecordsCarryUniqueNonces) {
   ASSERT_TRUE(log.CommitHead().ok());
   // Walk the on-disk frames: every record's leading 12 bytes (the GCM
   // nonce) must be distinct even though one cached context sealed them all.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
+  std::FILE* f = std::fopen(SegmentFilePath(path, 0).c_str(), "rb");
   ASSERT_NE(f, nullptr);
   Bytes data;
   int c;
@@ -253,7 +255,7 @@ TEST_F(AuditLogTest, EncryptedRecordsCarryUniqueNonces) {
   }
   std::fclose(f);
   std::set<Bytes> nonces;
-  size_t off = 0;
+  size_t off = kSegmentHeaderSize;
   while (off < data.size()) {
     ASSERT_LE(off + 4, data.size());
     uint32_t len = LoadBe32(data.data() + off);
@@ -416,37 +418,42 @@ TEST_F(AuditLogTest, LogEntryHugeTableLengthRejected) {
 
 TEST_F(AuditLogTest, ReadVerifiedEntriesRejectsHostileRecords) {
   const std::string path = TempPath("hostile_records.log");
+  const std::string segment = SegmentFilePath(path, 0);
+  // Each case is one segment: a valid header, then the hostile frame.
+  const Bytes header = SegmentHeader{}.Encode();
   // Record with trailing bytes after a valid entry.
   {
-    Bytes file;
+    Bytes file = header;
     Bytes wire = EntryWithRawValues({"I1"});
     wire.push_back(0x00);  // one stray byte inside the frame
     AppendBe32(file, static_cast<uint32_t>(wire.size()));
     Append(file, wire);
-    ASSERT_TRUE(DurableWriteFile(path, file, /*append=*/false, /*sync=*/false).ok());
+    ASSERT_TRUE(DurableWriteFile(segment, file, /*append=*/false, /*sync=*/false).ok());
     auto entries = AuditLog::ReadVerifiedEntries(path);
     ASSERT_FALSE(entries.ok());
     EXPECT_NE(entries.status().message().find("trailing bytes"), std::string::npos);
   }
   // Frame length running past the end of the file.
   {
-    Bytes file;
+    Bytes file = header;
     AppendBe32(file, 1000);
     file.push_back(0xAB);
-    ASSERT_TRUE(DurableWriteFile(path, file, /*append=*/false, /*sync=*/false).ok());
+    ASSERT_TRUE(DurableWriteFile(segment, file, /*append=*/false, /*sync=*/false).ok());
     auto entries = AuditLog::ReadVerifiedEntries(path);
     ASSERT_FALSE(entries.ok());
     EXPECT_NE(entries.status().message().find("truncated record body"), std::string::npos);
   }
   // Frame cut off inside the 4-byte length prefix.
   {
-    Bytes file = {0x00, 0x00};
-    ASSERT_TRUE(DurableWriteFile(path, file, /*append=*/false, /*sync=*/false).ok());
+    Bytes file = header;
+    file.push_back(0x00);
+    file.push_back(0x00);
+    ASSERT_TRUE(DurableWriteFile(segment, file, /*append=*/false, /*sync=*/false).ok());
     auto entries = AuditLog::ReadVerifiedEntries(path);
     ASSERT_FALSE(entries.ok());
     EXPECT_NE(entries.status().message().find("truncated record frame"), std::string::npos);
   }
-  std::remove(path.c_str());
+  RemoveLogFiles(path);
 }
 
 // --- trim wall-clock preservation -----------------------------------------

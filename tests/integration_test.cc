@@ -175,11 +175,11 @@ TEST(Integration, GitPersistedLogSurvivesVerification) {
   EXPECT_EQ(*verified, 3u);
 
   // A provider edit is detected.
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
+  std::FILE* f = std::fopen(core::SegmentFilePath(path, 0).c_str(), "rb+");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 30, SEEK_SET);
+  std::fseek(f, core::kSegmentHeaderSize + 30, SEEK_SET);
   int c = std::fgetc(f);
-  std::fseek(f, 30, SEEK_SET);
+  std::fseek(f, core::kSegmentHeaderSize + 30, SEEK_SET);
   std::fputc(c ^ 0x40, f);
   std::fclose(f);
   EXPECT_FALSE(core::AuditLog::VerifyLogFile(path, runtime.log_public_key(),

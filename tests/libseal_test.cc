@@ -46,87 +46,101 @@ tls::TlsConfig ClientConfig() {
   return config;
 }
 
-// --- TryExtractHttpMessage ---
+// --- Content-Length framing (HttpMessageBuffer over one buffered chunk) ---
+
+// Feeds `wire` to a fresh framer in one chunk.
+HttpMessageBuffer Framer(const std::string& wire) {
+  HttpMessageBuffer buffer;
+  buffer.Append(wire.data(), wire.size());
+  return buffer;
+}
 
 TEST(HttpExtract, CompleteMessage) {
-  std::string buffer = "GET / HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcLEFTOVER";
-  auto msg = TryExtractHttpMessage(buffer);
+  HttpMessageBuffer buffer = Framer("GET / HTTP/1.1\r\nContent-Length: 3\r\n\r\nabcLEFTOVER");
+  auto msg = buffer.TryExtract();
   ASSERT_TRUE(msg.has_value());
   EXPECT_EQ(msg->substr(msg->size() - 3), "abc");
-  EXPECT_EQ(buffer, "LEFTOVER");
+  EXPECT_EQ(buffer.view(), "LEFTOVER");
 }
 
 TEST(HttpExtract, IncompleteHeaders) {
-  std::string buffer = "GET / HTTP/1.1\r\nContent-Le";
-  EXPECT_FALSE(TryExtractHttpMessage(buffer).has_value());
+  HttpMessageBuffer buffer = Framer("GET / HTTP/1.1\r\nContent-Le");
+  EXPECT_FALSE(buffer.TryExtract().has_value());
   EXPECT_EQ(buffer.size(), 26u);  // untouched
 }
 
 TEST(HttpExtract, IncompleteBody) {
-  std::string buffer = "GET / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc";
-  EXPECT_FALSE(TryExtractHttpMessage(buffer).has_value());
+  HttpMessageBuffer buffer = Framer("GET / HTTP/1.1\r\nContent-Length: 10\r\n\r\nabc");
+  EXPECT_FALSE(buffer.TryExtract().has_value());
+  EXPECT_FALSE(buffer.poisoned());
 }
 
 TEST(HttpExtract, NoBodyMessage) {
-  std::string buffer = "GET / HTTP/1.1\r\nHost: h\r\n\r\n";
-  auto msg = TryExtractHttpMessage(buffer);
+  HttpMessageBuffer buffer = Framer("GET / HTTP/1.1\r\nHost: h\r\n\r\n");
+  auto msg = buffer.TryExtract();
   ASSERT_TRUE(msg.has_value());
-  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(buffer.size(), 0u);
 }
 
 TEST(HttpExtract, TwoPipelinedMessages) {
-  std::string buffer =
+  HttpMessageBuffer buffer = Framer(
       "POST /a HTTP/1.1\r\nContent-Length: 1\r\n\r\nx"
-      "POST /b HTTP/1.1\r\nContent-Length: 1\r\n\r\ny";
-  auto first = TryExtractHttpMessage(buffer);
-  auto second = TryExtractHttpMessage(buffer);
+      "POST /b HTTP/1.1\r\nContent-Length: 1\r\n\r\ny");
+  auto first = buffer.TryExtract();
+  auto second = buffer.TryExtract();
   ASSERT_TRUE(first.has_value());
   ASSERT_TRUE(second.has_value());
   EXPECT_NE(first->find("/a"), std::string::npos);
   EXPECT_NE(second->find("/b"), std::string::npos);
-  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(buffer.size(), 0u);
 }
 
 TEST(HttpExtract, ContentLengthToleratesSurroundingWhitespace) {
-  std::string buffer = "GET / HTTP/1.1\r\nContent-Length: \t 3 \r\n\r\nabc";
-  auto msg = TryExtractHttpMessage(buffer);
+  HttpMessageBuffer buffer = Framer("GET / HTTP/1.1\r\nContent-Length: \t 3 \r\n\r\nabc");
+  auto msg = buffer.TryExtract();
   ASSERT_TRUE(msg.has_value());
-  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(buffer.size(), 0u);
 }
 
 TEST(HttpExtract, ContentLengthRejectsTrailingGarbage) {
   // strtoul would have read "3" and ignored the rest, desyncing the
   // framing from what a real HTTP parser sees.
-  std::string buffer = "GET / HTTP/1.1\r\nContent-Length: 3x\r\n\r\nabc";
-  EXPECT_FALSE(TryExtractHttpMessage(buffer).has_value());
+  HttpMessageBuffer buffer = Framer("GET / HTTP/1.1\r\nContent-Length: 3x\r\n\r\nabc");
+  EXPECT_FALSE(buffer.TryExtract().has_value());
+  EXPECT_TRUE(buffer.poisoned());
 }
 
 TEST(HttpExtract, ContentLengthRejectsNonNumericAndNegative) {
-  std::string buffer = "GET / HTTP/1.1\r\nContent-Length: abc\r\n\r\n";
-  EXPECT_FALSE(TryExtractHttpMessage(buffer).has_value());
-  buffer = "GET / HTTP/1.1\r\nContent-Length: -1\r\n\r\n";
-  EXPECT_FALSE(TryExtractHttpMessage(buffer).has_value());
-  buffer = "GET / HTTP/1.1\r\nContent-Length:\r\n\r\n";
-  EXPECT_FALSE(TryExtractHttpMessage(buffer).has_value());
+  for (const char* wire : {"GET / HTTP/1.1\r\nContent-Length: abc\r\n\r\n",
+                           "GET / HTTP/1.1\r\nContent-Length: -1\r\n\r\n",
+                           "GET / HTTP/1.1\r\nContent-Length:\r\n\r\n"}) {
+    HttpMessageBuffer buffer = Framer(wire);
+    EXPECT_FALSE(buffer.TryExtract().has_value()) << wire;
+    EXPECT_TRUE(buffer.poisoned()) << wire;
+  }
 }
 
 TEST(HttpExtract, ContentLengthRejectsOverflowAndOversize) {
   // 2^64 + a bit: strtoul silently wrapped this to a small total.
-  std::string buffer = "GET / HTTP/1.1\r\nContent-Length: 18446744073709551620\r\n\r\nabc";
-  EXPECT_FALSE(TryExtractHttpMessage(buffer).has_value());
+  HttpMessageBuffer overflow =
+      Framer("GET / HTTP/1.1\r\nContent-Length: 18446744073709551620\r\n\r\nabc");
+  EXPECT_FALSE(overflow.TryExtract().has_value());
+  EXPECT_TRUE(overflow.poisoned());
   // Within range but above the audit buffer cap: can never complete.
-  buffer = "GET / HTTP/1.1\r\nContent-Length: " + std::to_string(kAuditBufferCap + 1) +
-           "\r\n\r\n";
-  EXPECT_FALSE(TryExtractHttpMessage(buffer).has_value());
+  HttpMessageBuffer oversize = Framer("GET / HTTP/1.1\r\nContent-Length: " +
+                                      std::to_string(kAuditBufferCap + 1) + "\r\n\r\n");
+  EXPECT_FALSE(oversize.TryExtract().has_value());
+  EXPECT_TRUE(oversize.poisoned());
   EXPECT_EQ(ContentLengthFromHeaders("Content-Length: " + std::to_string(kAuditBufferCap)),
             std::optional<size_t>(kAuditBufferCap));
 }
 
 TEST(HttpExtract, LastContentLengthWins) {
-  std::string buffer = "GET / HTTP/1.1\r\nContent-Length: 9\r\nContent-Length: 2\r\n\r\nab";
-  auto msg = TryExtractHttpMessage(buffer);
+  HttpMessageBuffer buffer =
+      Framer("GET / HTTP/1.1\r\nContent-Length: 9\r\nContent-Length: 2\r\n\r\nab");
+  auto msg = buffer.TryExtract();
   ASSERT_TRUE(msg.has_value());
-  EXPECT_TRUE(buffer.empty());
+  EXPECT_EQ(buffer.size(), 0u);
 }
 
 // --- HttpMessageBuffer (incremental framer) ---

@@ -129,11 +129,11 @@ TEST(LogMerge, TamperedPartialRejectsWholeMerge) {
   a.Pump(backend, services::MakeGitPush("repo", {{"main", "c1"}}));
   b.Pump(backend, services::MakeGitFetch("repo"));
   // Provider edits instance A's log.
-  std::FILE* f = std::fopen(a.path.c_str(), "rb+");
+  std::FILE* f = std::fopen(SegmentFilePath(a.path, 0).c_str(), "rb+");
   ASSERT_NE(f, nullptr);
-  std::fseek(f, 25, SEEK_SET);
+  std::fseek(f, kSegmentHeaderSize + 25, SEEK_SET);
   int c = std::fgetc(f);
-  std::fseek(f, 25, SEEK_SET);
+  std::fseek(f, kSegmentHeaderSize + 25, SEEK_SET);
   std::fputc(c ^ 0x10, f);
   std::fclose(f);
   ssm::GitModule module;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 
@@ -61,6 +62,37 @@ void FillLog(AuditLog& log, int64_t first, int n) {
             .ok());
   }
   ASSERT_TRUE(log.CommitHead().ok());
+}
+
+// Rewrites the header of segment `index` of the log at `path` through `edit`.
+void EditSegmentHeader(const std::string& path, uint32_t index,
+                       const std::function<void(SegmentHeader&)>& edit) {
+  const std::string segment = SegmentFilePath(path, index);
+  auto data = ReadFileBytes(segment);
+  ASSERT_TRUE(data.ok());
+  auto header = SegmentHeader::Decode(*data);
+  ASSERT_TRUE(header.ok());
+  edit(*header);
+  ASSERT_TRUE(UpdateSegmentHeader(segment, *header, /*sync=*/false).ok());
+}
+
+// Leaves the log at `path` holding entries 1..40 over several segments, the
+// last of them closed as a roll does just before it opens the next one.
+// Returns the index of that last segment and the chain head after entry 40.
+void FillAndCloseLastSegment(const std::string& path, uint32_t* last, Bytes* chain_head) {
+  {
+    AuditLog log(SegmentedOptions(path), TestKey());
+    ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+    ASSERT_TRUE(log.Recover().ok());
+    FillLog(log, 1, 40);
+    ASSERT_GT(log.segment_count(), 2u);
+    *last = log.segment_count() - 1;
+    *chain_head = log.chain_head();
+  }
+  EditSegmentHeader(path, *last, [](SegmentHeader& header) {
+    header.closed = 1;
+    header.last_ticket = 40;
+  });
 }
 
 std::vector<Bytes> SerializedEntries(const std::vector<LogEntry>& entries) {
@@ -160,26 +192,6 @@ TEST(Recovery, CleanRestartRestoresLogAndChain) {
   }
 }
 
-TEST(Recovery, LegacySingleFileLayoutRecovers) {
-  const std::string path = FreshPath("recover_legacy.log");
-  AuditLogOptions options = SegmentedOptions(path);
-  options.segment_bytes = 0;  // legacy single-file layout
-  {
-    AuditLog log(options, TestKey());
-    ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
-    ASSERT_TRUE(log.Recover().ok());
-    FillLog(log, 1, 12);
-  }
-  AuditLog log(options, TestKey());
-  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
-  AuditLog::RecoveryInfo info;
-  ASSERT_TRUE(log.Recover(&info).ok());
-  EXPECT_EQ(log.entry_count(), 12u);
-  EXPECT_EQ(info.replayed_entries, 12u);
-  auto verified = AuditLog::VerifyLogFile(path, TestKey().public_key(), log.counter());
-  ASSERT_TRUE(verified.ok()) << verified.status().message();
-}
-
 TEST(Recovery, FreshPathRecoversEmpty) {
   const std::string path = FreshPath("recover_empty.log");
   AuditLog log(SegmentedOptions(path), TestKey());
@@ -236,6 +248,145 @@ TEST(Recovery, TornTailRecordIsDiscarded) {
   verified = AuditLog::VerifyLogFile(path, TestKey().public_key(), log.counter());
   ASSERT_TRUE(verified.ok()) << verified.status().message();
   EXPECT_EQ(*verified, 25u);
+}
+
+TEST(Recovery, TornLastSegmentHeaderIsRemovedAndRecreated) {
+  const std::string path = FreshPath("recover_torn_seg_header.log");
+  uint32_t last = 0;
+  Bytes chain_head;
+  FillAndCloseLastSegment(path, &last, &chain_head);
+  // The crash came while the roll was creating the next segment: only
+  // part of its header reached the disk.
+  SegmentHeader next;
+  next.index = last + 1;
+  next.prev_head = chain_head;
+  next.first_ticket = 41;
+  Bytes torn = next.Encode();
+  torn.resize(kSegmentHeaderSize / 2);
+  const std::string next_path = SegmentFilePath(path, last + 1);
+  ASSERT_TRUE(DurableWriteFile(next_path, torn, /*append=*/false, /*sync=*/false).ok());
+
+  AuditLog log(SegmentedOptions(path), TestKey());
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  AuditLog::RecoveryInfo info;
+  ASSERT_TRUE(log.Recover(&info).ok());
+  EXPECT_EQ(info.discarded_records, 1u);
+  EXPECT_EQ(log.entry_count(), 40u);
+  EXPECT_FALSE(FileExists(next_path));
+  auto verified = AuditLog::VerifyLogFile(path, TestKey().public_key(), log.counter());
+  ASSERT_TRUE(verified.ok()) << verified.status().message();
+  EXPECT_EQ(*verified, 40u);
+  // The next flush recreates the same index, and the log extends.
+  FillLog(log, 41, 10);
+  EXPECT_TRUE(FileExists(next_path));
+  verified = AuditLog::VerifyLogFile(path, TestKey().public_key(), log.counter());
+  ASSERT_TRUE(verified.ok()) << verified.status().message();
+  EXPECT_EQ(*verified, 50u);
+}
+
+TEST(Recovery, ClosedLastSegmentResumesAtNextIndex) {
+  const std::string path = FreshPath("recover_closed_last.log");
+  uint32_t last = 0;
+  Bytes chain_head;
+  // The crash came after the roll closed the last segment but before the
+  // next one was created.
+  FillAndCloseLastSegment(path, &last, &chain_head);
+
+  AuditLog log(SegmentedOptions(path), TestKey());
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  ASSERT_TRUE(log.Recover().ok());
+  EXPECT_EQ(log.entry_count(), 40u);
+  EXPECT_EQ(log.segment_count(), last + 1);
+  FillLog(log, 41, 10);
+  // The closed segment is left as it was; appends go on at the next index,
+  // chained to it.
+  auto closed = ReadFileBytes(SegmentFilePath(path, last));
+  ASSERT_TRUE(closed.ok());
+  auto closed_header = SegmentHeader::Decode(*closed);
+  ASSERT_TRUE(closed_header.ok());
+  EXPECT_EQ(closed_header->closed, 1u);
+  EXPECT_EQ(closed_header->last_ticket, 40);
+  auto next = ReadFileBytes(SegmentFilePath(path, last + 1));
+  ASSERT_TRUE(next.ok());
+  auto next_header = SegmentHeader::Decode(*next);
+  ASSERT_TRUE(next_header.ok());
+  EXPECT_EQ(next_header->first_ticket, 41);
+  EXPECT_EQ(next_header->prev_head, chain_head);
+  auto verified = AuditLog::VerifyLogFile(path, TestKey().public_key(), log.counter());
+  ASSERT_TRUE(verified.ok()) << verified.status().message();
+  EXPECT_EQ(*verified, 50u);
+}
+
+TEST(Recovery, RecordlessLastSegmentIsRecreatedWithItsFirstTicket) {
+  const std::string path = FreshPath("recover_recordless_last.log");
+  uint32_t last = 0;
+  Bytes chain_head;
+  FillAndCloseLastSegment(path, &last, &chain_head);
+  // The crash came after the roll wrote the next segment's whole header
+  // but before the batch's first frame (ticket 41) reached it. The
+  // restarted log goes on at ticket 100, so the header's first ticket
+  // must not survive into the segment's closed range.
+  SegmentHeader next;
+  next.index = last + 1;
+  next.prev_head = chain_head;
+  next.first_ticket = 41;
+  ASSERT_TRUE(DurableWriteFile(SegmentFilePath(path, last + 1), next.Encode(), /*append=*/false,
+                               /*sync=*/false)
+                  .ok());
+  {
+    AuditLog log(SegmentedOptions(path), TestKey());
+    ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+    AuditLog::RecoveryInfo info;
+    ASSERT_TRUE(log.Recover(&info).ok());
+    EXPECT_EQ(info.discarded_records, 0u);
+    EXPECT_EQ(log.entry_count(), 40u);
+    FillLog(log, 100, 40);  // rolls past segment last + 1
+    ASSERT_GT(log.segment_count(), last + 2);
+    auto verified = AuditLog::VerifyLogFile(path, TestKey().public_key(), log.counter());
+    ASSERT_TRUE(verified.ok()) << verified.status().message();
+    EXPECT_EQ(*verified, 80u);
+  }
+  AuditLog log(SegmentedOptions(path), TestKey());
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  ASSERT_TRUE(log.Recover().ok());
+  EXPECT_EQ(log.entry_count(), 80u);
+}
+
+// The writer closes a segment durably before it creates the next one, so
+// no crash leaves an open segment before the last, or a closed one whose
+// ticket range disagrees with its records: recovery rejects both.
+TEST(Recovery, UnclosedMiddleSegmentFailsRecovery) {
+  const std::string path = FreshPath("recover_unclosed_middle.log");
+  {
+    AuditLog log(SegmentedOptions(path), TestKey());
+    ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+    ASSERT_TRUE(log.Recover().ok());
+    FillLog(log, 1, 40);
+    ASSERT_GT(log.segment_count(), 2u);
+  }
+  EditSegmentHeader(path, 0, [](SegmentHeader& header) { header.closed = 0; });
+  AuditLog log(SegmentedOptions(path), TestKey());
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  Status s = log.Recover();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("not closed"), std::string::npos) << s.message();
+}
+
+TEST(Recovery, ClosedSegmentTicketRangeMismatchFailsRecovery) {
+  const std::string path = FreshPath("recover_ticket_range.log");
+  {
+    AuditLog log(SegmentedOptions(path), TestKey());
+    ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+    ASSERT_TRUE(log.Recover().ok());
+    FillLog(log, 1, 40);
+    ASSERT_GT(log.segment_count(), 2u);
+  }
+  EditSegmentHeader(path, 0, [](SegmentHeader& header) { header.last_ticket += 1; });
+  AuditLog log(SegmentedOptions(path), TestKey());
+  ASSERT_TRUE(log.ExecuteSchema(GitSchema()).ok());
+  Status s = log.Recover();
+  ASSERT_FALSE(s.ok());
+  EXPECT_NE(s.message().find("ticket range mismatch"), std::string::npos) << s.message();
 }
 
 TEST(Recovery, FlushedButUncommittedTailIsKept) {

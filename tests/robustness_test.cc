@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "src/common/rng.h"
+#include "src/core/log_segment.h"
 #include "src/core/logger.h"
 #include "src/db/database.h"
 #include "src/db/parser.h"
@@ -193,6 +194,31 @@ TEST(Robustness, CorruptLogEntriesRejectedNotCrashing) {
     size_t off = 0;
     (void)core::LogEntry::Deserialize(bytes, off);
   }
+}
+
+TEST(Robustness, MalformedSegmentHeadersRejected) {
+  core::SegmentHeader header;
+  header.index = 3;
+  header.prev_head = Bytes(32, 0xab);
+  header.first_ticket = 7;
+  const Bytes wire = header.Encode();
+  ASSERT_EQ(wire.size(), core::kSegmentHeaderSize);
+  ASSERT_TRUE(core::SegmentHeader::Decode(wire).ok());
+  // A header cut off at any length.
+  for (size_t len = 0; len < wire.size(); ++len) {
+    EXPECT_FALSE(core::SegmentHeader::Decode(BytesView(wire).subspan(0, len)).ok())
+        << "header truncated to " << len << " bytes decoded";
+  }
+  // One field at a time: magic "SEALSEG1" -> "SEALSEG2", version 1 -> 2,
+  // reserved word (after the closed flag) 0 -> 1.
+  auto decode_with = [&](size_t offset, uint8_t value) {
+    Bytes patched = wire;
+    patched[offset] = value;
+    return core::SegmentHeader::Decode(patched).status();
+  };
+  EXPECT_NE(decode_with(7, '2').message().find("magic"), std::string::npos);
+  EXPECT_NE(decode_with(11, 2).message().find("version"), std::string::npos);
+  EXPECT_NE(decode_with(23, 1).message().find("reserved"), std::string::npos);
 }
 
 TEST(Robustness, DatabaseDeserializeFuzz) {
