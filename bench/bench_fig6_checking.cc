@@ -75,21 +75,20 @@ void RunService(const char* name,
   std::printf("\n");
 }
 
-// --- Log-size sweep: what the indexes and incremental checking buy --------
+// --- Log-size sweep: what the indexes buy ----------------------------------
 //
 // A fetch-heavy Git workload (advertisements dominate, so the log grows
 // fast) with NO trimming, checked at fixed checkpoints as the log grows
-// 10x. Three engine configurations over the identical byte stream:
-//   seed        -- nested-loop joins, full scans, full re-check (the engine
-//                  before this optimisation round)
-//   indexed     -- time index + hash joins, still full re-check
-//   incremental -- indexed + per-invariant watermarks
-// Per-checkpoint check time should explode for seed, grow roughly linearly
-// for indexed, and stay flat for incremental.
+// 10x. Two engine configurations over the identical byte stream:
+//   seed    -- nested-loop joins, full scans (the engine before the
+//              time index and hash joins)
+//   indexed -- time index + hash joins
+// Per-checkpoint check time should explode for seed and grow roughly
+// linearly for indexed.
 
 struct GrowthSample {
   size_t rows = 0;
-  double check_ms[3] = {0, 0, 0};  // seed, indexed, incremental
+  double check_ms[2] = {0, 0};  // seed, indexed
 };
 
 void RunLogGrowth() {
@@ -127,20 +126,17 @@ void RunLogGrowth() {
   const struct {
     const char* name;
     db::Tuning tuning;
-    bool incremental;
-  } kConfigs[3] = {
-      {"seed", {.use_time_index = false, .use_hash_join = false}, false},
-      {"indexed", {.use_time_index = true, .use_hash_join = true}, false},
-      {"incremental", {.use_time_index = true, .use_hash_join = true}, true},
+  } kConfigs[2] = {
+      {"seed", {.use_time_index = false, .use_hash_join = false}},
+      {"indexed", {.use_time_index = true, .use_hash_join = true}},
   };
 
   std::vector<GrowthSample> samples(kRounds);
-  for (int c = 0; c < 3; ++c) {
+  for (int c = 0; c < 2; ++c) {
     core::AuditLogOptions log_options;  // memory mode: isolate checking cost
     log_options.counter_options.inject_latency = false;
     core::LoggerOptions logger_options;
     logger_options.check_interval = 0;  // checkpoints drive the checks
-    logger_options.incremental_checking = kConfigs[c].incremental;
     logger_options.async_checking = false;  // time the round, not the handoff
     core::AuditLogger logger(std::make_unique<ssm::GitModule>(), log_options, logger_options,
                              crypto::EcdsaPrivateKey::FromSeed(ToBytes("fig6g")));
@@ -153,10 +149,6 @@ void RunLogGrowth() {
       (void)logger.OnPair(pairs[next].first, pairs[next].second, false);
       ++next;
     }
-    // Bootstrap check on the tiny seeded log so the incremental
-    // configuration enters round 1 with live watermarks; every measured
-    // round is then steady-state.
-    (void)logger.CheckInvariants();
     for (int round = 0; round < kRounds; ++round) {
       for (int i = 0; i < kPairsPerRound; ++i, ++next) {
         (void)logger.OnPair(pairs[next].first, pairs[next].second, false);
@@ -176,18 +168,14 @@ void RunLogGrowth() {
   }
 
   std::printf("\n=== Log-size sweep: full check time (ms) vs log size, no trimming ===\n");
-  std::printf("%8s %8s %10s %10s %12s\n", "round", "rows", "seed", "indexed", "incremental");
+  std::printf("%8s %8s %10s %10s\n", "round", "rows", "seed", "indexed");
   for (int round = 0; round < kRounds; ++round) {
     const GrowthSample& s = samples[static_cast<size_t>(round)];
-    std::printf("%8d %8zu %10.2f %10.2f %12.3f\n", round + 1, s.rows, s.check_ms[0],
-                s.check_ms[1], s.check_ms[2]);
+    std::printf("%8d %8zu %10.2f %10.2f\n", round + 1, s.rows, s.check_ms[0], s.check_ms[1]);
   }
-  const GrowthSample& first = samples.front();
   const GrowthSample& last = samples.back();
-  std::printf("\nat %zu rows: indexes alone %.1fx faster than seed; "
-              "incremental round cost %.2fx its first round (flat = 1x)\n",
-              last.rows, last.check_ms[0] / last.check_ms[1],
-              last.check_ms[2] / first.check_ms[2]);
+  std::printf("\nat %zu rows: indexes %.1fx faster than seed\n", last.rows,
+              last.check_ms[0] / last.check_ms[1]);
 }
 
 // --- Async checking: append-stall p99 and result equivalence --------------
@@ -276,7 +264,7 @@ StallResult MeasureAppendStall(bool async, size_t parallelism, int threads,
 }
 
 // Replays one trace through both checking modes and compares everything
-// deterministic: per-round violations and covered watermarks, the final
+// deterministic: per-round violations and covered times, the final
 // serialized database and the entry count. (The chain head embeds
 // wall-clock stamps, so it can never match across two runs — even two
 // synchronous ones.) The async run quiesces after every pair so its rounds

@@ -47,9 +47,7 @@ CheckerEngine::CheckerEngine(AuditLog* log, std::vector<Invariant> invariants,
     : log_(log),
       invariants_(std::move(invariants)),
       options_(std::move(options)),
-      trim_fn_(std::move(trim_fn)) {
-  watermarks_.assign(invariants_.size(), -1);
-}
+      trim_fn_(std::move(trim_fn)) {}
 
 CheckerEngine::~CheckerEngine() { Stop(); }
 
@@ -168,7 +166,8 @@ Status CheckerEngine::RunInline(Trigger trigger, int64_t horizon, CheckReport* o
   CheckRound round;
   round.trigger = trigger;
   round.horizon = horizon;
-  SEAL_RETURN_IF_ERROR(EvaluateRound(round, /*snap=*/nullptr, /*parallel=*/false));
+  round.snapshot = log_->database().CaptureSnapshot();
+  SEAL_RETURN_IF_ERROR(EvaluateRound(round, /*parallel=*/false));
   CountRound(trigger);
   rounds_completed_.fetch_add(1, std::memory_order_release);
   if (options_.on_report) {
@@ -176,16 +175,6 @@ Status CheckerEngine::RunInline(Trigger trigger, int64_t horizon, CheckReport* o
   }
   *out = std::move(round.report);
   return Status::Ok();
-}
-
-void CheckerEngine::OnTrimmed() {
-  std::lock_guard<std::mutex> lk(wm_mutex_);
-  for (int64_t& w : watermarks_) {
-    if (w >= 0) {
-      SEAL_OBS_COUNTER("logger_watermark_resets_total").Increment();
-    }
-    w = -1;
-  }
 }
 
 void CheckerEngine::WaitIdle() {
@@ -197,11 +186,6 @@ void CheckerEngine::PauseForTesting(bool paused) {
   std::lock_guard<std::mutex> lk(mutex_);
   paused_ = paused;
   work_cv_.notify_all();
-}
-
-int64_t CheckerEngine::watermark_for_testing(size_t invariant_index) const {
-  std::lock_guard<std::mutex> lk(wm_mutex_);
-  return invariant_index < watermarks_.size() ? watermarks_[invariant_index] : -1;
 }
 
 void CheckerEngine::ThreadMain() {
@@ -235,30 +219,20 @@ void CheckerEngine::ThreadMain() {
 
 void CheckerEngine::RunRound(CheckRound& round) {
   sgx::ScopedExecutionCharge charge(options_.enclave);
-  Status s = EvaluateRound(round, &round.snapshot, /*parallel=*/true);
+  Status s = EvaluateRound(round, /*parallel=*/true);
   if (s.ok() && round.want_trim && trim_fn_) {
     s = trim_fn_(&round.report);
   }
   round.status = s;
 }
 
-Status CheckerEngine::EvaluateRound(CheckRound& round, const db::Snapshot* snap,
-                                    bool parallel) {
+Status CheckerEngine::EvaluateRound(CheckRound& round, bool parallel) {
   const int64_t check_start = NowNanos();
   const size_t n = invariants_.size();
   auto task = std::make_shared<EvalTask>();
-  task->snap = snap;
-  task->floors.assign(n, -1);
+  task->snap = &round.snapshot;
   task->results.resize(n);
   task->remaining.store(n, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lk(wm_mutex_);
-    for (size_t i = 0; i < n; ++i) {
-      if (options_.incremental_checking && invariants_[i].monotone && watermarks_[i] >= 0) {
-        task->floors[i] = watermarks_[i];
-      }
-    }
-  }
 
   if (parallel && !helpers_.empty() && n > 1) {
     {
@@ -277,54 +251,17 @@ Status CheckerEngine::EvaluateRound(CheckRound& round, const db::Snapshot* snap,
 
   CheckReport& report = round.report;
   report.covered_time = round.horizon;
-  std::vector<char> advance(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    const Invariant& invariant = invariants_[i];
     Result<db::QueryResult>& result = *task->results[i];
     if (!result.ok()) {
       return result.status();
     }
     ++report.invariants_checked;
     SEAL_OBS_COUNTER("logger_invariant_evaluations_total").Increment();
-    if (task->floors[i] >= 0) {
-      SEAL_OBS_COUNTER("logger_incremental_evaluations_total").Increment();
-    }
-    CheckReport::Coverage cov;
-    cov.invariant = invariant.name;
-    cov.floor = task->floors[i];
-    if (result->rows.empty()) {
-      cov.covered = round.horizon;
-      if (invariant.monotone) {
-        advance[i] = 1;
-        SEAL_OBS_COUNTER("logger_watermark_advances_total").Increment();
-      }
-    } else {
-      // A violating monotone invariant keeps its watermark where it is:
-      // the offending rows must stay visible to subsequent checks.
-      cov.covered = task->floors[i];
-      if (invariant.monotone) {
-        SEAL_OBS_COUNTER("logger_watermark_freezes_total").Increment();
-      }
+    if (!result->rows.empty()) {
       SEAL_OBS_COUNTER("logger_violations_found_total").Add(result->rows.size());
       report.violations.push_back(
-          CheckReport::Violation{invariant.name, std::move(*result)});
-    }
-    report.coverage.push_back(std::move(cov));
-  }
-  {
-    std::lock_guard<std::mutex> lk(wm_mutex_);
-    // A trim interleaved with this round invalidates its coverage: the
-    // reset (OnTrimmed, same lock) wins and the watermarks stay at -1.
-    // Snapshot-free (inline) rounds run under the writer lock, where no
-    // trim can interleave.
-    const bool epoch_ok =
-        snap == nullptr || log_->database().trim_epoch() == snap->trim_epoch;
-    if (epoch_ok) {
-      for (size_t i = 0; i < n; ++i) {
-        if (advance[i]) {
-          watermarks_[i] = round.horizon;
-        }
-      }
+          CheckReport::Violation{invariants_[i].name, std::move(*result)});
     }
   }
   report.check_nanos = NowNanos() - check_start;
@@ -335,25 +272,15 @@ Status CheckerEngine::EvaluateRound(CheckRound& round, const db::Snapshot* snap,
 void CheckerEngine::RunTaskSlice(EvalTask& task) {
   for (;;) {
     const size_t i = task.next.fetch_add(1, std::memory_order_relaxed);
-    if (i >= task.floors.size()) {
+    if (i >= task.results.size()) {
       return;
     }
-    task.results[i] = EvaluateInvariant(i, task.floors[i], task.snap);
+    task.results[i] = log_->database().ExecuteSnapshot(invariants_[i].query, *task.snap);
     if (task.remaining.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lk(mutex_);
       done_cv_.notify_all();
     }
   }
-}
-
-Result<db::QueryResult> CheckerEngine::EvaluateInvariant(size_t i, int64_t floor,
-                                                         const db::Snapshot* snap) {
-  const Invariant& invariant = invariants_[i];
-  std::optional<int64_t> f;
-  if (floor >= 0) {
-    f = floor;
-  }
-  return plan_cache_.Execute(log_->database(), invariant.query, f, snap);
 }
 
 void CheckerEngine::HelperMain() {

@@ -7,7 +7,7 @@
 // accounted as in-enclave execution like the asyncall workers — evaluates
 // the invariants against the pinned snapshot, optionally fanned out across
 // a small bounded helper pool, and publishes a CheckReport. Appenders keep
-// inserting past the snapshot watermark the whole time.
+// inserting past the snapshot the whole time.
 //
 // Round life cycle and coalescing: at most one PENDING and one RUNNING
 // round exist. Enqueueing while a round is pending merges into it (the
@@ -16,11 +16,6 @@
 // pending round attaches to it without spending the forced-check budget —
 // one evaluation, one charge. Completion is a future-style handshake:
 // holders of the round block in CheckRound::Wait().
-//
-// Watermark soundness across trims: a clean monotone invariant's watermark
-// only advances to the round's horizon if the database's trim epoch still
-// matches the snapshot's at completion; any interleaved trim resets the
-// watermarks (via OnTrimmed) and wins.
 #ifndef SRC_CORE_CHECKER_H_
 #define SRC_CORE_CHECKER_H_
 
@@ -51,14 +46,6 @@ struct CheckReport {
     std::string invariant;
     db::QueryResult rows;  // the offending log entries
   };
-  // Per-invariant coverage of this round, for round-tiling assertions:
-  // the scan covered logical times (floor, covered]; floor == -1 means a
-  // full scan from the beginning of the log.
-  struct Coverage {
-    std::string invariant;
-    int64_t floor = -1;
-    int64_t covered = -1;
-  };
   std::vector<Violation> violations;
   size_t invariants_checked = 0;
   int64_t check_nanos = 0;
@@ -70,7 +57,6 @@ struct CheckReport {
   // Every pair with logical time <= covered_time had been drained into the
   // database when this round's snapshot was captured.
   int64_t covered_time = 0;
-  std::vector<Coverage> coverage;
 
   bool clean() const { return violations.empty(); }
   // Compact form for the Libseal-Check-Result response header.
@@ -100,10 +86,11 @@ struct CheckRound {
   CheckReport report;
 };
 
-// The engine. Owns the invariant list, the per-invariant incremental
-// watermarks and the prepared-plan cache; runs rounds either on its
-// dedicated checker thread (async) or inline on the caller (sync mode,
-// used by deterministic tests and as the benchmark baseline).
+// The engine. Owns the invariant list; runs rounds either on its dedicated
+// checker thread (async) or inline on the caller (sync mode, used by
+// deterministic tests and as the benchmark baseline). Every round evaluates
+// each invariant once, with Database::ExecuteSnapshot on the round's
+// snapshot.
 class CheckerEngine {
  public:
   using Trigger = CheckRound::Trigger;
@@ -113,7 +100,6 @@ class CheckerEngine {
     // Invariants evaluated concurrently within one round (1 = just the
     // checker thread; N > 1 adds N-1 persistent helper threads).
     size_t parallelism = 1;
-    bool incremental_checking = true;
     // When set, checker/helper CPU time is charged as in-enclave execution
     // (like the asyncall workers).
     sgx::Enclave* enclave = nullptr;
@@ -151,13 +137,10 @@ class CheckerEngine {
   // contract as Enqueue. Used by forced-check coalescing.
   std::shared_ptr<CheckRound> TryAttach(int64_t need_horizon);
 
-  // Evaluates one round synchronously on the calling thread against live
-  // table state (no snapshot, no helpers). The caller must hold the
-  // writer lock. Does NOT trim. Sync-mode path.
+  // Evaluates one round synchronously on the calling thread (no helpers),
+  // against a snapshot captured here. The caller must hold the writer lock.
+  // Does NOT trim. Sync-mode path.
   Status RunInline(Trigger trigger, int64_t horizon, CheckReport* out);
-
-  // A trim removed rows: every watermark resets to "full scan".
-  void OnTrimmed();
 
   // Blocks until no round is pending or running.
   void WaitIdle();
@@ -170,8 +153,6 @@ class CheckerEngine {
   uint64_t rounds_completed() const {
     return rounds_completed_.load(std::memory_order_acquire);
   }
-  int64_t watermark_for_testing(size_t invariant_index) const;
-  size_t plan_cache_size() const { return plan_cache_.size(); }
 
  private:
   // Work-stealing state for one round's parallel evaluation. Helpers keep
@@ -179,8 +160,7 @@ class CheckerEngine {
   // completion is signalled when `remaining` hits zero.
   struct EvalTask {
     const db::Snapshot* snap = nullptr;
-    std::vector<int64_t> floors;  // per invariant; -1 = full scan
-    std::vector<std::optional<Result<db::QueryResult>>> results;
+    std::vector<std::optional<Result<db::QueryResult>>> results;  // per invariant
     std::atomic<size_t> next{0};
     std::atomic<size_t> remaining{0};
   };
@@ -188,12 +168,10 @@ class CheckerEngine {
   void ThreadMain();
   void HelperMain();
   void RunRound(CheckRound& round);
-  // Evaluates all invariants into round.report (violations in declaration
-  // order regardless of parallelism) and advances watermarks.
-  Status EvaluateRound(CheckRound& round, const db::Snapshot* snap, bool parallel);
+  // Evaluates all invariants against round.snapshot into round.report
+  // (violations in declaration order regardless of parallelism).
+  Status EvaluateRound(CheckRound& round, bool parallel);
   void RunTaskSlice(EvalTask& task);
-  Result<db::QueryResult> EvaluateInvariant(size_t i, int64_t floor,
-                                            const db::Snapshot* snap);
   void CompleteRound(const std::shared_ptr<CheckRound>& round, Status status);
   void UpdateQueueDepthLocked();
 
@@ -201,13 +179,6 @@ class CheckerEngine {
   const std::vector<Invariant> invariants_;
   Options options_;
   TrimFn trim_fn_;
-
-  db::PlanCache plan_cache_;
-
-  // Watermarks: highest logical time each invariant's last clean check
-  // covered; -1 = next check scans the full log.
-  mutable std::mutex wm_mutex_;
-  std::vector<int64_t> watermarks_;
 
   // Round queue + helper task handoff.
   mutable std::mutex mutex_;

@@ -56,7 +56,6 @@ void AuditLogger::EnsureEngineLocked() {
   CheckerEngine::Options opts;
   opts.async = options_.async_checking;
   opts.parallelism = options_.check_parallelism > 0 ? options_.check_parallelism : 1;
-  opts.incremental_checking = options_.incremental_checking;
   opts.enclave = options_.enclave;
   opts.on_report = [this](const CheckReport& report) { PublishReport(report); };
   engine_ = std::make_unique<CheckerEngine>(
@@ -274,7 +273,7 @@ void AuditLogger::TriggerChecksLocked(PendingPair* op, bool interval_check) {
   }
   // Every tuple with time < next_drain_time_ has been drained into the
   // database; later tickets may still be in flight, so this round covers
-  // (and may advance watermarks up to) exactly this horizon.
+  // exactly this horizon.
   const int64_t horizon = next_drain_time_ - 1;
   const CheckerEngine::Trigger trigger =
       forced ? CheckerEngine::Trigger::kForced : CheckerEngine::Trigger::kInterval;
@@ -316,11 +315,6 @@ Status AuditLogger::TrimLockedInner(CheckReport* report) {
   size_t deleted = 0;
   size_t archived = 0;
   SEAL_RETURN_IF_ERROR(log_.Trim(module_->TrimmingQueries(), &deleted, &archived));
-  if (deleted > 0 && engine_ != nullptr) {
-    // Rows left the log, so the deltas past the watermarks no longer
-    // describe it: the next check scans whatever survived in full.
-    engine_->OnTrimmed();
-  }
   const int64_t trim_nanos = NowNanos() - trim_start;
   if (report != nullptr) {
     report->trim_nanos = trim_nanos;
@@ -380,23 +374,13 @@ Result<CheckReport> AuditLogger::CheckInvariants() {
 Status AuditLogger::Trim() {
   std::lock_guard<std::mutex> lock(drain_mutex_);
   DrainStagedLocked();
-  size_t deleted = 0;
-  SEAL_RETURN_IF_ERROR(log_.Trim(module_->TrimmingQueries(), &deleted));
-  if (deleted > 0 && engine_ != nullptr) {
-    engine_->OnTrimmed();
-  }
-  return Status::Ok();
+  return log_.Trim(module_->TrimmingQueries());
 }
 
 void AuditLogger::WaitForChecks() {
   if (engine_ != nullptr) {
     engine_->WaitIdle();
   }
-}
-
-int64_t AuditLogger::watermark_for_testing(size_t invariant_index) const {
-  std::lock_guard<std::mutex> lock(drain_mutex_);
-  return engine_ != nullptr ? engine_->watermark_for_testing(invariant_index) : -1;
 }
 
 }  // namespace seal::core

@@ -55,11 +55,6 @@ struct LoggerOptions {
   // check that coincides with an interval check does not consume the
   // forced budget (the check would have run anyway).
   size_t forced_check_min_gap = 0;
-  // Incremental checking: an invariant declared monotone is re-evaluated
-  // only over tuples appended since its last clean check (per-invariant
-  // time watermark). Falls back to full scans after any trim that removed
-  // rows. Benchmarks flip this off to measure full-scan checking.
-  bool incremental_checking = true;
   // Run check rounds on the dedicated checker thread against database
   // snapshots: the drain step only enqueues a trigger (O(1)) and appenders
   // never stall on invariant evaluation. Forced checks still block their
@@ -153,11 +148,6 @@ class AuditLogger {
   // AuditLogOptions::recover).
   const AuditLog::RecoveryInfo& recovery_info() const { return recovery_info_; }
 
-  // The incremental watermark of the i-th invariant (in Invariants()
-  // order): the highest logical time its last clean check covered, or -1
-  // when the next check must scan the full log.
-  int64_t watermark_for_testing(size_t invariant_index) const;
-
  private:
   // One staged request/response pair, owned by the OnPair frame that
   // created it; the sequencer only touches it between collection and the
@@ -201,9 +191,9 @@ class AuditLogger {
   // Evaluates `op`'s check trigger: enqueues/attaches an async round or
   // runs the round inline (sync mode). Caller holds drain_mutex_.
   void TriggerChecksLocked(PendingPair* op, bool interval_check);
-  // Trimming: runs the SSM's queries and resets watermarks when rows left
-  // the log. TrimLockedInner requires drain_mutex_; TrimForRound is the
-  // checker thread's entry and takes it.
+  // Trimming: runs the SSM's queries and fills the report's trim fields.
+  // TrimLockedInner requires drain_mutex_; TrimForRound is the checker
+  // thread's entry and takes it.
   Status TrimLockedInner(CheckReport* report);
   Status TrimForRound(CheckReport* report);
   // Publishes a completed round's report (engine on_report callback).
@@ -220,7 +210,7 @@ class AuditLogger {
 
   // The sequencer's critical section: the audit log, the check state and
   // the reorder buffer below.
-  mutable std::mutex drain_mutex_;
+  std::mutex drain_mutex_;
   // Collected-but-not-yet-processed pairs, keyed by ticket. Pairs are
   // replayed strictly in ticket order; a gap means some thread holds a
   // ticket it has not staged yet, and the drain stops until that thread's
@@ -237,7 +227,7 @@ class AuditLogger {
   int64_t last_forced_check_pair_ = -1;
 
   // The checking engine (created lazily under drain_mutex_; owns the
-  // invariants, watermarks and prepared-plan cache).
+  // invariants).
   std::unique_ptr<CheckerEngine> engine_;
 
   mutable std::mutex report_mutex_;

@@ -24,19 +24,9 @@ struct LogTuple {
 
 // A named integrity invariant: `query` returns the VIOLATING entries (the
 // negation of the invariant), so an empty result means the invariant holds.
-//
-// `monotone` declares that the query's outer (violating) rows are reported
-// with a `time` column taken from a base tuple, and that once the invariant
-// held over a log prefix, any later violation must involve an outer tuple
-// appended after that prefix. The logger exploits this for incremental
-// checking: after a clean check at watermark W it re-evaluates the query
-// restricted to outer rows with time > W. Invariants whose violations can
-// consist purely of old rows (e.g. duplicate detection, where the newer
-// copy of a pair may already have been checked) must leave this false.
 struct Invariant {
   std::string name;
   std::string query;
-  bool monotone = false;
 };
 
 class ServiceModule {

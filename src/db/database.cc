@@ -242,7 +242,6 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
     TableData& table = tables_[create->name];
     table.columns = create->columns;
     InitTimeIndex(table);
-    BumpSchemaEpoch();
     return QueryResult{};
   }
 
@@ -254,7 +253,6 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
       return AlreadyExists("view " + view->name + " already exists");
     }
     views_[view->name] = ViewData{view->select, std::string(sql)};
-    BumpSchemaEpoch();
     return QueryResult{};
   }
 
@@ -311,9 +309,6 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
       result.affected = table.rows.size();
       table.rows.clear();
       RebuildTimeIndex(table);
-      if (result.affected > 0) {
-        BumpTrimEpoch();
-      }
       return result;
     }
     // Evaluate all predicates against the pre-delete snapshot so that
@@ -347,7 +342,6 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
     if (result.affected > 0) {
       table.rows.Assign(std::move(kept));
       RemapTimeIndexAfterDelete(table, doomed);  // row positions shifted
-      BumpTrimEpoch();
     }
     return result;
   }
@@ -404,7 +398,6 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
     }
     if (result.affected > 0) {
       table.rows.Assign(std::move(updated));
-      BumpTrimEpoch();
       if (touched_time) {
         RebuildTimeIndex(table);
       }
@@ -417,9 +410,6 @@ Result<QueryResult> Database::Execute(std::string_view sql) {
     if (erased == 0 && !drop->if_exists) {
       return NotFound("no such " + std::string(drop->is_view ? "view" : "table") + ": " +
                       drop->name);
-    }
-    if (erased > 0) {
-      BumpSchemaEpoch();
     }
     return QueryResult{};
   }
@@ -434,7 +424,6 @@ Status Database::CreateTable(const std::string& name, std::vector<std::string> c
   TableData& table = tables_[name];
   table.columns = std::move(columns);
   InitTimeIndex(table);
-  BumpSchemaEpoch();
   return Status::Ok();
 }
 
@@ -511,70 +500,8 @@ const std::vector<std::pair<int64_t, size_t>>* Database::TimeIndexForTesting(
   return &it->second.time_index;
 }
 
-Expr* Database::InjectTimeFloorConjunct(SelectStmt& s) const {
-  if (!s.from.has_value() || s.from->table_name.empty()) {
-    return nullptr;
-  }
-  auto columns = CatalogColumns(s.from->table_name);
-  bool has_time = false;
-  if (columns.has_value()) {
-    for (const std::string& c : *columns) {
-      if (ColumnNameEq(c, "time")) {
-        has_time = true;
-      }
-    }
-  }
-  if (!has_time) {
-    return nullptr;
-  }
-  auto col = std::make_unique<Expr>(ExprKind::kColumn);
-  col->table = s.from->alias.empty() ? s.from->table_name : s.from->alias;
-  col->name = "time";
-  auto lit = std::make_unique<Expr>(ExprKind::kLiteral);
-  lit->literal = Value(int64_t{0});
-  Expr* slot = lit.get();
-  auto cmp = std::make_unique<Expr>(ExprKind::kBinary);
-  cmp->op = ">";
-  cmp->args.push_back(std::move(col));
-  cmp->args.push_back(std::move(lit));
-  if (s.where == nullptr) {
-    s.where = std::move(cmp);
-  } else {
-    auto conj = std::make_unique<Expr>(ExprKind::kBinary);
-    conj->op = "AND";
-    conj->args.push_back(std::move(cmp));
-    conj->args.push_back(std::move(s.where));
-    s.where = std::move(conj);
-  }
-  return slot;
-}
-
-Result<QueryResult> Database::ExecuteWithTimeFloor(std::string_view sql, int64_t floor) {
-  auto parsed = ParseStatement(sql);
-  if (!parsed.ok()) {
-    return parsed.status();
-  }
-  Statement& stmt = *parsed;
-  auto* select = std::get_if<std::unique_ptr<SelectStmt>>(&stmt);
-  if (select == nullptr) {
-    return Execute(sql);
-  }
-  SelectStmt& s = **select;
-  Expr* slot = InjectTimeFloorConjunct(s);
-  if (slot == nullptr) {
-    // No narrowable base: execute the unmodified parse in full.
-    Executor executor(*this);
-    return executor.ExecuteSelect(s);
-  }
-  slot->literal = Value(floor);
-  Executor executor(*this);
-  return executor.ExecuteSelect(s);
-}
-
 Snapshot Database::CaptureSnapshot() const {
   Snapshot snap;
-  snap.schema_epoch = schema_epoch();
-  snap.trim_epoch = trim_epoch();
   for (const auto& [name, table] : tables_) {
     TableSnapshot ts;
     ts.view = table.rows.Snapshot();
@@ -585,84 +512,19 @@ Snapshot Database::CaptureSnapshot() const {
   return snap;
 }
 
-Result<PreparedSelect> Database::Prepare(std::string_view sql, bool with_time_floor) const {
+Result<QueryResult> Database::ExecuteSnapshot(std::string_view sql,
+                                              const Snapshot& snapshot) const {
   auto parsed = ParseStatement(sql);
   if (!parsed.ok()) {
     return parsed.status();
   }
   auto* select = std::get_if<std::unique_ptr<SelectStmt>>(&*parsed);
   if (select == nullptr) {
-    return InvalidArgument("Prepare: not a SELECT statement");
+    return InvalidArgument("ExecuteSnapshot: not a SELECT statement");
   }
-  PreparedSelect plan;
-  plan.sql_ = std::string(sql);
-  plan.stmt_ = std::shared_ptr<SelectStmt>(std::move(*select));
-  if (with_time_floor) {
-    plan.floor_slot_ = InjectTimeFloorConjunct(*plan.stmt_);
-  }
-  plan.schema_epoch_ = schema_epoch();
-  plan.trim_epoch_ = trim_epoch();
-  return plan;
-}
-
-Result<QueryResult> Database::ExecutePrepared(const PreparedSelect& plan,
-                                              std::optional<int64_t> floor,
-                                              const Snapshot* snapshot) const {
-  if (plan.stmt_ == nullptr) {
-    return InvalidArgument("ExecutePrepared: empty plan");
-  }
-  if (floor.has_value() && plan.floor_slot_ != nullptr) {
-    plan.floor_slot_->literal = Value(*floor);
-  }
-  if (snapshot != nullptr) {
-    SEAL_OBS_COUNTER("db_snapshot_reads_total").Increment();
-  }
-  Executor executor(*this, snapshot);
-  return executor.ExecuteSelect(*plan.stmt_);
-}
-
-Result<QueryResult> Database::ExecuteSnapshot(std::string_view sql,
-                                              const Snapshot& snapshot) const {
-  auto plan = Prepare(sql, /*with_time_floor=*/false);
-  if (!plan.ok()) {
-    return plan.status();
-  }
-  return ExecutePrepared(*plan, std::nullopt, &snapshot);
-}
-
-Result<QueryResult> PlanCache::Execute(const Database& db, const std::string& sql,
-                                       std::optional<int64_t> floor,
-                                       const Snapshot* snapshot) {
-  const bool floored = floor.has_value();
-  std::shared_ptr<PreparedSelect> plan;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = plans_.find({sql, floored});
-    if (it != plans_.end() && it->second->schema_epoch_ == db.schema_epoch() &&
-        it->second->trim_epoch_ == db.trim_epoch()) {
-      plan = it->second;
-      SEAL_OBS_COUNTER("db_plan_cache_hits_total").Increment();
-    }
-  }
-  if (plan == nullptr) {
-    SEAL_OBS_COUNTER("db_plan_cache_misses_total").Increment();
-    auto prepared = db.Prepare(sql, /*with_time_floor=*/floored);
-    if (!prepared.ok()) {
-      return prepared.status();
-    }
-    plan = std::make_shared<PreparedSelect>(std::move(*prepared));
-    std::lock_guard<std::mutex> lock(mutex_);
-    plans_[{sql, floored}] = plan;
-  }
-  // Executed outside the cache lock. Rebinding mutates the plan's AST, but
-  // a given (sql, floored) plan is only ever run by one thread at a time
-  // (rounds are serialised; parallel workers hold distinct invariants).
-  return db.ExecutePrepared(*plan, floor, snapshot);
-}
-
-size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return plans_.size();
+  SEAL_OBS_COUNTER("db_snapshot_reads_total").Increment();
+  Executor executor(*this, &snapshot);
+  return executor.ExecuteSelect(**select);
 }
 
 Bytes Database::Serialize() const {

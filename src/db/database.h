@@ -6,10 +6,8 @@
 #ifndef SRC_DB_DATABASE_H_
 #define SRC_DB_DATABASE_H_
 
-#include <atomic>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <utility>
@@ -51,107 +49,35 @@ struct TableSnapshot {
   bool time_sorted = false;
 };
 
-// A cheap whole-database snapshot: per-table pinned row prefixes plus the
-// epochs at capture time. Capture must be externally synchronised with
-// writers (the sequencer captures under the drain mutex, at a pair
-// boundary); executing against the snapshot is then safe from any thread,
-// concurrently with appends and even trims — the views keep pre-trim rows
-// alive until the last reader drops them.
+// A cheap whole-database snapshot: per-table pinned row prefixes. Capture
+// must be externally synchronised with writers (the sequencer captures
+// under the drain mutex, at a pair boundary); executing against the
+// snapshot is then safe from any thread, concurrently with appends and even
+// trims — the views keep pre-trim rows alive until the last reader drops
+// them.
 struct Snapshot {
-  uint64_t schema_epoch = 0;
-  uint64_t trim_epoch = 0;
   std::map<std::string, TableSnapshot> tables;
-};
-
-// A SELECT parsed and planned once, re-executed many times. When built with
-// a time-floor slot, the injected conjunct `<base>.time > ?` is rebound per
-// execution (incremental invariant checking re-plans nothing per round).
-// A prepared statement may be executed by one thread at a time (rebinding
-// mutates the stored AST); distinct queries are distinct plans.
-class PreparedSelect {
- public:
-  PreparedSelect() = default;
-
-  const std::string& sql() const { return sql_; }
-  bool has_floor_slot() const { return floor_slot_ != nullptr; }
-
- private:
-  friend class Database;
-  friend class PlanCache;
-
-  std::string sql_;
-  std::shared_ptr<SelectStmt> stmt_;
-  Expr* floor_slot_ = nullptr;  // literal of the injected conjunct, owned by stmt_
-  uint64_t schema_epoch_ = 0;
-  uint64_t trim_epoch_ = 0;
 };
 
 class Database {
  public:
   Database() = default;
-  // Movable, not copyable (views hold parsed ASTs). Manual because the
-  // epochs are atomics (read by the checker without the writer's lock).
-  Database(Database&& other) noexcept
-      : tables_(std::move(other.tables_)),
-        views_(std::move(other.views_)),
-        tuning_(other.tuning_),
-        schema_epoch_(other.schema_epoch_.load(std::memory_order_relaxed)),
-        trim_epoch_(other.trim_epoch_.load(std::memory_order_relaxed)) {}
-  Database& operator=(Database&& other) noexcept {
-    if (this != &other) {
-      tables_ = std::move(other.tables_);
-      views_ = std::move(other.views_);
-      tuning_ = other.tuning_;
-      schema_epoch_.store(other.schema_epoch_.load(std::memory_order_relaxed),
-                          std::memory_order_relaxed);
-      trim_epoch_.store(other.trim_epoch_.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-    }
-    return *this;
-  }
+  // Movable, not copyable (views hold parsed ASTs).
+  Database(Database&&) = default;
+  Database& operator=(Database&&) = default;
 
   // Parses and executes one SQL statement.
   Result<QueryResult> Execute(std::string_view sql);
 
-  // Parses and executes one statement; when it is a SELECT over a named
-  // base table (or view) that exposes a `time` column, AND-injects the
-  // conjunct `<base>.time > floor` into WHERE so the scan is narrowed to
-  // rows appended after `floor`. Used by incremental invariant checking:
-  // for a monotone invariant query this returns exactly the violations
-  // involving outer rows newer than the watermark.
-  Result<QueryResult> ExecuteWithTimeFloor(std::string_view sql, int64_t floor);
-
-  // --- snapshots + prepared plans (asynchronous checking) ---
+  // --- snapshots (invariant checking) ---
 
   // Captures a logical snapshot of every table. Caller must hold whatever
   // lock serialises writers (see Snapshot docs).
   Snapshot CaptureSnapshot() const;
 
-  // True when no DDL / trim has happened since the snapshot was captured.
-  bool SnapshotCurrent(const Snapshot& snapshot) const {
-    return snapshot.schema_epoch == schema_epoch() && snapshot.trim_epoch == trim_epoch();
-  }
-
-  // Bumped on CREATE/DROP (schema) and on any DELETE/UPDATE that changed
-  // rows (trim). Relaxed atomics: used for plan/watermark invalidation.
-  uint64_t schema_epoch() const { return schema_epoch_.load(std::memory_order_relaxed); }
-  uint64_t trim_epoch() const { return trim_epoch_.load(std::memory_order_relaxed); }
-
-  // Parses + plans a SELECT once. With `with_time_floor`, injects the
-  // rebindable `<base>.time > ?` conjunct when the base exposes `time`
-  // (otherwise the plan simply has no floor slot and executes in full,
-  // mirroring ExecuteWithTimeFloor's fallback).
-  Result<PreparedSelect> Prepare(std::string_view sql, bool with_time_floor) const;
-
-  // Executes a prepared SELECT. `floor` rebinds the time-floor slot (must
-  // be nullopt when the plan has none, except that a slotless plan ignores
-  // it). With `snapshot`, the scan reads only the snapshot's pinned row
-  // prefixes — safe concurrently with writers.
-  Result<QueryResult> ExecutePrepared(const PreparedSelect& plan,
-                                      std::optional<int64_t> floor = std::nullopt,
-                                      const Snapshot* snapshot = nullptr) const;
-
-  // Convenience: parse + execute one SELECT against a snapshot.
+  // Parses and executes one SELECT against a snapshot: the scans read only
+  // the snapshot's pinned row prefixes, so this is safe concurrently with
+  // writers. Rejects any other statement.
   Result<QueryResult> ExecuteSnapshot(std::string_view sql, const Snapshot& snapshot) const;
 
   // Programmatic fast paths used by the audit logger (no SQL parsing).
@@ -218,39 +144,9 @@ class Database {
   // per-row deletion mask.
   static void RemapTimeIndexAfterDelete(TableData& table, const std::vector<bool>& doomed);
 
-  // AND-injects `<base>.time > 0` into `s` when its base source exposes a
-  // `time` column; returns the literal Expr to rebind, or nullptr.
-  Expr* InjectTimeFloorConjunct(SelectStmt& s) const;
-
-  void BumpSchemaEpoch() { schema_epoch_.fetch_add(1, std::memory_order_relaxed); }
-  void BumpTrimEpoch() { trim_epoch_.fetch_add(1, std::memory_order_relaxed); }
-
   std::map<std::string, TableData> tables_;
   std::map<std::string, ViewData> views_;
   Tuning tuning_;
-  std::atomic<uint64_t> schema_epoch_{0};
-  std::atomic<uint64_t> trim_epoch_{0};
-};
-
-// A keyed cache of PreparedSelect plans, invalidated by epoch change.
-// Lookup is mutex-guarded (cheap: one map probe per invariant per round);
-// execution happens outside the lock. A given (sql, floored) plan must not
-// be executed by two threads at once — check rounds are serialised, and
-// parallel workers within a round evaluate distinct invariants.
-class PlanCache {
- public:
-  // Looks up (preparing/refreshing on miss or epoch staleness) and
-  // executes. `floor` selects the floored plan variant; `snapshot` routes
-  // execution to pinned views.
-  Result<QueryResult> Execute(const Database& db, const std::string& sql,
-                              std::optional<int64_t> floor = std::nullopt,
-                              const Snapshot* snapshot = nullptr);
-
-  size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::pair<std::string, bool>, std::shared_ptr<PreparedSelect>> plans_;
 };
 
 }  // namespace seal::db

@@ -31,20 +31,15 @@ std::vector<core::Invariant> DropboxModule::Invariants() const {
   return {
       // Blocklist soundness: the blocklist the server announces for a file
       // equals the most recently committed blocklist.
-      // Both monotone: violations hang off a list response, and a checked
-      // response cannot be invalidated by later commits (only strictly
-      // older commits enter its comparison).
       {"dropbox-blocklist-soundness",
        "SELECT l.time, l.file FROM list l WHERE l.blocks != ("
        "SELECT c.blocks FROM commit_batch c WHERE c.file = l.file AND "
-       "c.account = l.account AND c.time < l.time ORDER BY c.time DESC LIMIT 1)",
-       /*monotone=*/true},
+       "c.account = l.account AND c.time < l.time ORDER BY c.time DESC LIMIT 1)"},
       // File-list completeness: each list response names every live file.
       {"dropbox-list-completeness",
        "SELECT time, account FROM list "
        "NATURAL JOIN dbx_livecnt "
-       "GROUP BY time, account, cnt HAVING COUNT(file) != cnt",
-       /*monotone=*/true},
+       "GROUP BY time, account, cnt HAVING COUNT(file) != cnt"},
   };
 }
 

@@ -52,22 +52,17 @@ std::vector<core::Invariant> GitModule::Invariants() const {
   return {
       // Soundness (§6.2): every advertised commit ID matches the most
       // recent update of that (repo, branch).
-      // Monotone: a violation always involves an advertisement, and old
-      // advertisements cannot become inconsistent retroactively (updates
-      // only count when older than the advertisement).
       {"git-soundness",
        "SELECT * FROM advertisements a WHERE cid != ("
        "SELECT u.cid FROM updates u WHERE u.repo = a.repo AND "
        "u.branch = a.branch AND u.time < a.time ORDER BY "
-       "u.time DESC LIMIT 1)",
-       /*monotone=*/true},
+       "u.time DESC LIMIT 1)"},
       // Completeness (§1, §6.2): every advertisement lists ALL live
       // branches.
       {"git-completeness",
        "SELECT time, repo FROM advertisements "
        "NATURAL JOIN branchcnt "
-       "GROUP BY time, repo, cnt HAVING COUNT(branch) != cnt",
-       /*monotone=*/true},
+       "GROUP BY time, repo, cnt HAVING COUNT(branch) != cnt"},
   };
 }
 

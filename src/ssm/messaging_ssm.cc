@@ -19,13 +19,10 @@ std::vector<core::Invariant> MessagingModule::Invariants() const {
       // Soundness: everything delivered was previously sent to that
       // recipient with exactly that body (catches modification and
       // misdelivery).
-      // Monotone: a delivery checked once can only be re-implicated by a
-      // newer delivery row.
       {"messaging-soundness",
        "SELECT d.time, d.mid FROM msg_delivered d WHERE NOT EXISTS ("
        "SELECT * FROM msg_sent s WHERE s.mid = d.mid AND "
-       "s.recipient = d.recipient AND s.body = d.body AND s.time < d.time)",
-       /*monotone=*/true},
+       "s.recipient = d.recipient AND s.body = d.body AND s.time < d.time)"},
       // Completeness: a poll returns exactly the messages pending for the
       // recipient (sent before the poll, not delivered before the poll).
       {"messaging-completeness",
@@ -33,12 +30,8 @@ std::vector<core::Invariant> MessagingModule::Invariants() const {
        "(SELECT COUNT(*) FROM msg_sent s WHERE s.recipient = p.recipient "
        "AND s.time < p.time) - "
        "(SELECT COUNT(*) FROM msg_delivered d WHERE d.recipient = p.recipient "
-       "AND d.time < p.time)",
-       /*monotone=*/true},
-      // Exactly-once: no (message, recipient) is delivered twice. NOT
-      // monotone: a fresh duplicate's group contains an old, already-checked
-      // delivery, so restricting the scan to new rows would see COUNT(*)=1
-      // and miss it. This one is always checked over the full log.
+       "AND d.time < p.time)"},
+      // Exactly-once: no (message, recipient) is delivered twice.
       {"messaging-no-duplicates",
        "SELECT mid, recipient FROM msg_delivered "
        "GROUP BY mid, recipient HAVING COUNT(*) > 1"},

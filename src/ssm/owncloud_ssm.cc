@@ -21,13 +21,10 @@ std::vector<core::Invariant> OwnCloudModule::Invariants() const {
   return {
       // (i) Snapshot soundness: the snapshot served at a join matches the
       // most recent snapshot any client stored for that document.
-      // Monotone: violations hang off a join row, and a checked join only
-      // compares against strictly older snapshots/updates.
       {"owncloud-snapshot-match",
        "SELECT j.time, j.doc FROM oc_joins j WHERE j.snapshot != ("
        "SELECT s.content FROM oc_snapshots s WHERE s.doc = j.doc AND "
-       "s.time < j.time ORDER BY s.time DESC LIMIT 1)",
-       /*monotone=*/true},
+       "s.time < j.time ORDER BY s.time DESC LIMIT 1)"},
       // (ii) Update-history completeness: the number of updates served to
       // a joining client equals the number of updates the service received
       // for that session before the join (a dropped edit shows up as a
@@ -35,8 +32,7 @@ std::vector<core::Invariant> OwnCloudModule::Invariants() const {
       {"owncloud-update-prefix",
        "SELECT j.time, j.doc FROM oc_joins j WHERE j.upcount != ("
        "SELECT COUNT(*) FROM oc_updates u WHERE u.doc = j.doc AND "
-       "u.session = j.session AND u.time < j.time)",
-       /*monotone=*/true},
+       "u.session = j.session AND u.time < j.time)"},
   };
 }
 

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -64,10 +63,6 @@ TEST(Checker, ForcedCheckRendezvousReportContents) {
   EXPECT_TRUE(report.clean());
   EXPECT_EQ(report.invariants_checked, logger->checker()->invariant_count());
   EXPECT_GE(report.covered_time, 2);  // the round covers the forcing pair
-  ASSERT_EQ(report.coverage.size(), report.invariants_checked);
-  for (const auto& c : report.coverage) {
-    EXPECT_EQ(c.covered, report.covered_time) << c.invariant;
-  }
   EXPECT_EQ(report.Summary(),
             "ok " + std::to_string(report.invariants_checked) + " invariants");
   // The rendezvous also published the report for header fallbacks.
@@ -200,38 +195,13 @@ TEST(Checker, ParallelEvaluationMatchesSerial) {
     EXPECT_TRUE(report->clean());
     EXPECT_EQ(report->invariants_checked, logger->checker()->invariant_count());
     EXPECT_EQ(report->covered_time, 20);
-    // Deterministic assembly: coverage stays in invariant declaration order.
-    ASSERT_EQ(report->coverage.size(), report->invariants_checked);
-  }
-}
-
-TEST(Checker, WatermarksAdvanceAndResetOnTrim) {
-  auto logger = MakeLogger({.check_interval = 0, .check_parallelism = 2});
-  services::GitBackend backend;
-  for (int i = 1; i <= 4; ++i) {
-    ASSERT_TRUE(PumpPush(*logger, backend, 0, i).ok());
-  }
-  ASSERT_TRUE(logger->CheckInvariants().ok());
-  bool any_monotone = false;
-  for (size_t i = 0; i < logger->checker()->invariant_count(); ++i) {
-    if (logger->watermark_for_testing(i) >= 0) {
-      EXPECT_EQ(logger->watermark_for_testing(i), 4);
-      any_monotone = true;
-    }
-  }
-  EXPECT_TRUE(any_monotone);
-  ASSERT_TRUE(logger->Trim().ok());  // rows leave -> every watermark resets
-  for (size_t i = 0; i < logger->checker()->invariant_count(); ++i) {
-    EXPECT_EQ(logger->watermark_for_testing(i), -1);
   }
 }
 
 // The TSan target: appenders race interval-triggered async rounds, forced
 // rendezvous and an explicit trim on the encrypted disk path. Afterwards
-// the persisted chain must verify, the observed reports must be monotone
-// in covered time, and per-invariant coverage must tile: every interval
-// starts where the previous clean one ended, or restarts from the full
-// log after a trim (never a gap, never an un-reset overlap).
+// the persisted chain must verify, and the observed reports must be clean
+// and nondecreasing in covered time.
 TEST(Checker, StressAppendersVsAsyncChecksAndTrim) {
   constexpr int kThreads = 8;
   constexpr int kPerThread = 40;
@@ -289,7 +259,7 @@ TEST(Checker, StressAppendersVsAsyncChecksAndTrim) {
   ASSERT_EQ(failures.load(), 0);
   EXPECT_EQ(logger.pairs_logged(), kThreads * kPerThread);
 
-  // Quiesce, then run one final full check so coverage reaches the end.
+  // Quiesce, then run one final check over everything logged.
   logger.WaitForChecks();
   auto final_check = logger.CheckInvariants();
   ASSERT_TRUE(final_check.ok());
@@ -310,21 +280,6 @@ TEST(Checker, StressAppendersVsAsyncChecksAndTrim) {
     EXPECT_TRUE(report.clean());
     EXPECT_GE(report.covered_time, prev_time);
     prev_time = report.covered_time;
-  }
-  // Coverage tiling per invariant: each round either resumes exactly at the
-  // previous round's covered watermark or rescans from the beginning
-  // (floor -1, forced by a trim). Anything else would double- or un-cover
-  // a span of pairs.
-  std::map<std::string, int64_t> last_covered;
-  for (const CheckReport& report : observed) {
-    for (const CheckReport::Coverage& c : report.coverage) {
-      auto it = last_covered.find(c.invariant);
-      if (it != last_covered.end() && c.floor != -1) {
-        EXPECT_EQ(c.floor, it->second) << c.invariant;
-      }
-      EXPECT_GE(c.covered, c.floor == -1 ? int64_t{0} : c.floor) << c.invariant;
-      last_covered[c.invariant] = c.covered;
-    }
   }
 }
 

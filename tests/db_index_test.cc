@@ -1,8 +1,9 @@
-// Tests for the seadb time-column index, the hash-join path and the
-// incremental invariant checking built on top of them: index maintenance
-// across INSERT/DELETE/UPDATE/Trim, byte-identical query results with the
-// optimisations on vs off (on all four SSM invariant suites), and the
-// per-invariant watermark lifecycle.
+// Tests for the seadb time-column index and the hash-join path, and the
+// logger's check and trim rounds on top of them: index maintenance across
+// INSERT/DELETE/UPDATE/Trim, byte-identical query results with the
+// optimisations on vs off (on all four SSM invariant suites, live and on a
+// snapshot), a violation appended after a clean round, and the trim that
+// deletes nothing.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -255,48 +256,32 @@ TEST_F(TunedPairTest, HashJoinMatchesNestedLoop) {
   ExpectSame("SELECT a.time, b.time FROM t a JOIN t b ON a.grp = b.grp AND a.time < b.time");
 }
 
-TEST(TimeFloor, NarrowsScanToNewerTuples) {
-  Database db;
-  Exec(db, "CREATE TABLE t(time, x)");
-  for (int i = 1; i <= 10; ++i) {
-    Exec(db, "INSERT INTO t VALUES (" + std::to_string(i) + ", " + std::to_string(i * i) + ")");
-  }
-  auto r = db.ExecuteWithTimeFloor("SELECT time FROM t ORDER BY time", 5);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->rows.size(), 5u);
-  EXPECT_EQ(r->rows.front()[0].AsInt(), 6);
-  EXPECT_EQ(r->rows.back()[0].AsInt(), 10);
-  // The floor composes with the query's own predicates.
-  r = db.ExecuteWithTimeFloor("SELECT time FROM t WHERE time < 9 ORDER BY time", 5);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->rows.size(), 3u);
-}
-
 // --- Invariant-suite equivalence on all four SSMs --------------------------
 
-// Snapshots the logger's database and replays every invariant query with the
-// optimisations on and off; the results must be byte-identical, with and
-// without an incremental floor.
+// Copies the logger's database and replays every invariant query with the
+// optimisations on and off, live and on a snapshot (the checker's path);
+// all four results must be byte-identical.
 void ExpectSuiteEquivalence(core::AuditLogger& logger) {
-  Bytes snapshot = logger.log().database().Serialize();
-  auto fast = Database::Deserialize(snapshot);
-  auto slow = Database::Deserialize(snapshot);
+  Bytes image = logger.log().database().Serialize();
+  auto fast = Database::Deserialize(image);
+  auto slow = Database::Deserialize(image);
   ASSERT_TRUE(fast.ok() && slow.ok());
   fast->set_tuning({.use_time_index = true, .use_hash_join = true});
   slow->set_tuning({.use_time_index = false, .use_hash_join = false});
+  const db::Snapshot fast_snap = fast->CaptureSnapshot();
+  const db::Snapshot slow_snap = slow->CaptureSnapshot();
   for (const core::Invariant& inv : logger.module().Invariants()) {
     auto a = fast->Execute(inv.query);
     auto b = slow->Execute(inv.query);
     ASSERT_TRUE(a.ok()) << inv.name << ": " << a.status().ToString();
     ASSERT_TRUE(b.ok()) << inv.name << ": " << b.status().ToString();
     EXPECT_EQ(Fingerprint(*a), Fingerprint(*b)) << inv.name;
-    for (int64_t floor : {0, 3, 7}) {
-      auto fa = fast->ExecuteWithTimeFloor(inv.query, floor);
-      auto fb = slow->ExecuteWithTimeFloor(inv.query, floor);
-      ASSERT_TRUE(fa.ok()) << inv.name << " floor " << floor << ": " << fa.status().ToString();
-      ASSERT_TRUE(fb.ok()) << inv.name << " floor " << floor << ": " << fb.status().ToString();
-      EXPECT_EQ(Fingerprint(*fa), Fingerprint(*fb)) << inv.name << " floor " << floor;
-    }
+    auto sa = fast->ExecuteSnapshot(inv.query, fast_snap);
+    auto sb = slow->ExecuteSnapshot(inv.query, slow_snap);
+    ASSERT_TRUE(sa.ok()) << inv.name << " snapshot: " << sa.status().ToString();
+    ASSERT_TRUE(sb.ok()) << inv.name << " snapshot: " << sb.status().ToString();
+    EXPECT_EQ(Fingerprint(*sa), Fingerprint(*a)) << inv.name << " snapshot, tuned";
+    EXPECT_EQ(Fingerprint(*sb), Fingerprint(*a)) << inv.name << " snapshot, naive";
   }
 }
 
@@ -396,68 +381,31 @@ TEST(SuiteEquivalence, Messaging) {
   ExpectSuiteEquivalence(*logger);
 }
 
-// --- Incremental checking watermarks ---------------------------------------
+// --- Check and trim rounds -------------------------------------------------
 
-TEST(Incremental, WatermarkAdvancesOnCleanCheck) {
-  auto logger = MakeLogger(std::make_unique<ssm::GitModule>());
-  services::GitBackend backend;
-  auto pump = [&](const http::HttpRequest& req) { Pump(*logger, req, backend.Handle(req)); };
-  EXPECT_EQ(logger->watermark_for_testing(0), -1);
-  pump(services::MakeGitPush("r", {{"main", "c1"}}));
-  pump(services::MakeGitFetch("r"));
-  auto report = logger->CheckInvariants();
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->clean());
-  // Clean check covers every logical time handed out so far (2 pairs).
-  EXPECT_EQ(logger->watermark_for_testing(0), 2);
-  EXPECT_EQ(logger->watermark_for_testing(1), 2);
-}
-
-TEST(Incremental, ViolationPastWatermarkIsCaught) {
+TEST(CheckAndTrim, ViolationPastCoveredTimeIsCaught) {
   auto logger = MakeLogger(std::make_unique<ssm::GitModule>());
   services::GitBackend backend;
   auto pump = [&](const http::HttpRequest& req) { Pump(*logger, req, backend.Handle(req)); };
   pump(services::MakeGitPush("r", {{"main", "c1"}}));
   pump(services::MakeGitFetch("r"));
-  ASSERT_TRUE(logger->CheckInvariants().ok());
-  int64_t watermark = logger->watermark_for_testing(0);
-  ASSERT_GE(watermark, 0);
-  // A bad advertisement appended after the watermark must be found by the
-  // narrowed incremental scan.
+  auto clean = logger->CheckInvariants();
+  ASSERT_TRUE(clean.ok());
+  ASSERT_TRUE(clean->clean());
+  // A bad advertisement appended after the clean round must be found by
+  // the next one.
   ASSERT_TRUE(logger->log()
                   .Append("advertisements",
-                          {db::Value(watermark + 10), db::Value(std::string("r")),
+                          {db::Value(clean->covered_time + 10), db::Value(std::string("r")),
                            db::Value(std::string("main")), db::Value(std::string("WRONG"))})
                   .ok());
   auto report = logger->CheckInvariants();
   ASSERT_TRUE(report.ok());
   ASSERT_FALSE(report->clean());
   EXPECT_EQ(report->violations[0].invariant, "git-soundness");
-  // A dirty invariant's watermark does not advance.
-  EXPECT_EQ(logger->watermark_for_testing(0), watermark);
 }
 
-TEST(Incremental, WatermarkResetsAfterTrim) {
-  auto logger = MakeLogger(std::make_unique<ssm::GitModule>());
-  services::GitBackend backend;
-  auto pump = [&](const http::HttpRequest& req) { Pump(*logger, req, backend.Handle(req)); };
-  pump(services::MakeGitPush("r", {{"main", "c1"}}));
-  pump(services::MakeGitFetch("r"));
-  ASSERT_TRUE(logger->CheckInvariants().ok());
-  ASSERT_GE(logger->watermark_for_testing(0), 0);
-  // The git trim deletes the advertisement, so the deltas past the
-  // watermarks no longer describe the log.
-  ASSERT_TRUE(logger->Trim().ok());
-  EXPECT_EQ(logger->watermark_for_testing(0), -1);
-  EXPECT_EQ(logger->watermark_for_testing(1), -1);
-  // And the next check still works (full scan) and re-advances.
-  auto report = logger->CheckInvariants();
-  ASSERT_TRUE(report.ok());
-  EXPECT_TRUE(report->clean());
-  EXPECT_GE(logger->watermark_for_testing(0), 0);
-}
-
-TEST(Incremental, TrimWithNothingToDeleteSkipsCounterRound) {
+TEST(CheckAndTrim, TrimWithNothingToDeleteSkipsCounterRound) {
   std::string path = std::string(::testing::TempDir()) + "/db_index_trim.log";
   auto logger =
       MakeLogger(std::make_unique<ssm::GitModule>(), core::PersistenceMode::kDisk, path);

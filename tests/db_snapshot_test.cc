@@ -143,10 +143,8 @@ TEST(Snapshot, ReadsThePinnedPrefixOnly) {
 TEST(Snapshot, SurvivesDeleteAndFlagsStaleness) {
   Database db = MakeUpdatesDb(10);
   Snapshot snap = db.CaptureSnapshot();
-  EXPECT_TRUE(db.SnapshotCurrent(snap));
   Exec(db, "DELETE FROM updates WHERE time <= 9");
   EXPECT_EQ(db.TableSize("updates"), 1u);
-  EXPECT_FALSE(db.SnapshotCurrent(snap));  // trim epoch moved
   // The snapshot still sees all ten pre-trim rows.
   auto snapped = db.ExecuteSnapshot("SELECT time FROM updates ORDER BY time", snap);
   ASSERT_TRUE(snapped.ok());
@@ -225,75 +223,16 @@ TEST(Snapshot, TimeBoundNarrowingUsesTheSortedView) {
   EXPECT_GT(metrics.counter("db_snapshot_reads_total"), 0u);
 }
 
-// --- prepared plans ---
-
-TEST(PreparedPlans, FloorRebindMatchesExecuteWithTimeFloor) {
-  Database db = MakeUpdatesDb(30);
-  auto plan = db.Prepare("SELECT time FROM updates ORDER BY time", /*with_time_floor=*/true);
-  ASSERT_TRUE(plan.ok());
-  EXPECT_TRUE(plan->has_floor_slot());
-  for (int64_t floor : {0, 7, 29, 30}) {
-    auto prepared = db.ExecutePrepared(*plan, floor);
-    ASSERT_TRUE(prepared.ok());
-    auto reference = db.ExecuteWithTimeFloor("SELECT time FROM updates ORDER BY time", floor);
-    ASSERT_TRUE(reference.ok());
-    ASSERT_EQ(prepared->rows.size(), reference->rows.size()) << "floor=" << floor;
-    for (size_t i = 0; i < prepared->rows.size(); ++i) {
-      EXPECT_EQ(prepared->rows[i][0].AsInt(), reference->rows[i][0].AsInt());
-    }
-  }
-}
+// --- snapshot reads are SELECT-only ---
 
 TEST(PreparedPlans, RejectsNonSelect) {
   Database db;
   Exec(db, "CREATE TABLE t (time)");
-  EXPECT_FALSE(db.Prepare("INSERT INTO t VALUES (1)", false).ok());
-  EXPECT_FALSE(db.Prepare("DELETE FROM t", true).ok());
-}
-
-TEST(PlanCache, HitsMissesAndEpochInvalidation) {
-  obs::Registry::Global().Reset();
-  Database db = MakeUpdatesDb(10);
-  PlanCache cache;
-  const std::string sql = "SELECT count(*) FROM updates";
-
-  ASSERT_TRUE(cache.Execute(db, sql).ok());  // miss: first sight
-  ASSERT_TRUE(cache.Execute(db, sql).ok());  // hit
-  ASSERT_TRUE(cache.Execute(db, sql, 5).ok());  // miss: floored variant
-  ASSERT_TRUE(cache.Execute(db, sql, 7).ok());  // hit: same variant, new floor
-  EXPECT_EQ(cache.size(), 2u);
-
-  auto metrics = obs::Registry::Global().TakeSnapshot();
-  EXPECT_EQ(metrics.counter("db_plan_cache_hits_total"), 2u);
-  EXPECT_EQ(metrics.counter("db_plan_cache_misses_total"), 2u);
-
-  // A trim bumps the trim epoch: the cached plans are stale and re-prepared.
-  Exec(db, "DELETE FROM updates WHERE time <= 5");
-  ASSERT_TRUE(cache.Execute(db, sql).ok());
-  metrics = obs::Registry::Global().TakeSnapshot();
-  EXPECT_EQ(metrics.counter("db_plan_cache_misses_total"), 3u);
-
-  // Schema changes invalidate too.
-  Exec(db, "CREATE TABLE unrelated (time)");
-  ASSERT_TRUE(cache.Execute(db, sql).ok());
-  metrics = obs::Registry::Global().TakeSnapshot();
-  EXPECT_EQ(metrics.counter("db_plan_cache_misses_total"), 4u);
-}
-
-TEST(PlanCache, FlooredExecutionAgainstSnapshotMatchesLive) {
-  Database db = MakeUpdatesDb(40);
-  PlanCache cache;
-  Snapshot snap = db.CaptureSnapshot();
-  Exec(db, "INSERT INTO updates VALUES (41, 'main', 'c41')");
-  const std::string sql = "SELECT time FROM updates ORDER BY time";
-  auto snapped = cache.Execute(db, sql, 35, &snap);
-  ASSERT_TRUE(snapped.ok());
-  ASSERT_EQ(snapped->rows.size(), 5u);  // 36..40: the post-snapshot row is invisible
-  EXPECT_EQ(snapped->rows.back()[0].AsInt(), 40);
-  auto live = cache.Execute(db, sql, 35);
-  ASSERT_TRUE(live.ok());
-  ASSERT_EQ(live->rows.size(), 6u);
-  EXPECT_EQ(live->rows.back()[0].AsInt(), 41);
+  Exec(db, "INSERT INTO t VALUES (1)");
+  const Snapshot snap = db.CaptureSnapshot();
+  EXPECT_FALSE(db.ExecuteSnapshot("INSERT INTO t VALUES (2)", snap).ok());
+  EXPECT_FALSE(db.ExecuteSnapshot("DELETE FROM t", snap).ok());
+  EXPECT_EQ(db.TableSize("t"), 1u);
 }
 
 }  // namespace

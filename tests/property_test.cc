@@ -149,12 +149,10 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SqlMetamorphic, ::testing::Range(uint64_t{1}, ui
 // --- tuned vs naive interpreter: byte-identical SELECT results ---
 //
 // Every optional executor path (time-index narrowing, bound pushdown into
-// views, hash joins, the ORDER BY time DESC LIMIT / MAX(time) fast paths,
-// the incremental time floor and snapshot reads) must return exactly what
-// the nested-loop interpreter returns with all of them off. The query mix
-// covers the shapes the SSM invariants and trimming queries are written in.
-// The suite keeps the name it had when it compared seadb against a columnar
-// engine, so that its test IDs stay stable.
+// views, hash joins, the ORDER BY time DESC LIMIT / MAX(time) fast paths
+// and snapshot reads) must return exactly what the nested-loop interpreter
+// returns with all of them off. The query mix covers the shapes the SSM
+// invariants and trimming queries are written in.
 
 std::string ResultFingerprint(const Result<db::QueryResult>& r) {
   if (!r.ok()) {
@@ -192,9 +190,9 @@ std::string ExpectTuningsAgree(db::Database& db,
   return tuned;
 }
 
-class VectorizedDifferential : public ::testing::TestWithParam<uint64_t> {};
+class TuningDifferential : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(VectorizedDifferential, RandomSelectsByteIdenticalAcrossEngines) {
+TEST_P(TuningDifferential, RandomSelectsByteIdenticalAcrossTunings) {
   uint64_t seed = GetParam();
   SplitMix64 rng(seed);
   db::Database db;
@@ -311,14 +309,6 @@ TEST_P(VectorizedDifferential, RandomSelectsByteIdenticalAcrossEngines) {
     EXPECT_NE(live.back().rfind("error: ", 0), 0u) << sql << ": " << live.back();
   }
 
-  // The incremental checker's floored plans.
-  const int64_t floor = rng.Range(0, 30);
-  for (const std::string& sql : queries) {
-    ExpectTuningsAgree(
-        db, [&] { return db.ExecuteWithTimeFloor(sql, floor); },
-        sql + " [floor " + std::to_string(floor) + "]");
-  }
-
   // A snapshot keeps answering for the rows it pinned while writers append.
   const db::Snapshot snap = db.CaptureSnapshot();
   for (int64_t i = 0; i < 5; ++i) {
@@ -342,7 +332,7 @@ TEST_P(VectorizedDifferential, RandomSelectsByteIdenticalAcrossEngines) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, VectorizedDifferential,
+INSTANTIATE_TEST_SUITE_P(Seeds, TuningDifferential,
                          ::testing::Range(uint64_t{1}, uint64_t{17}));
 
 // --- hash chain: a flip in EVERY byte of the persisted segment trips
